@@ -7,6 +7,7 @@
 #include <string>
 
 #include "asm/program.hpp"
+#include "vp/block_ledger.hpp"
 #include "vp/plugin.hpp"
 
 namespace s4e::core {
@@ -17,29 +18,30 @@ class ProfilerPlugin final : public vp::PluginBase {
     Subscriptions subs;
     subs.tb_exec = true;
     subs.tb_trans = true;
+    subs.exit = true;
     return subs;
   }
 
-  void on_tb_trans(const s4e_tb_info& tb) override {
-    block_insns_[tb.start] = tb.n_insns;
-  }
-  void on_tb_exec(u32 tb_start) override { ++exec_counts_[tb_start]; }
+  void on_tb_trans(const s4e_tb_info& tb) override;
+  void on_tb_exec(u32 tb_start) override;
+  void on_exit(int exit_code) override;
 
-  const std::map<u32, u64>& exec_counts() const noexcept {
-    return exec_counts_;
-  }
+  // Dispatches per block start address.
+  std::map<u32, u64> exec_counts() const;
 
-  // Total dynamically executed instructions attributed to blocks (equals
-  // the machine's icount when no block was cut short by a trap/exit).
-  u64 attributed_instructions() const;
+  // Dynamically executed instructions attributed to blocks: each dispatch
+  // is charged the instructions it actually retired (vp::BlockLedger), so
+  // this equals the machine's icount also when a trap, an exit or the budget
+  // cut a block short. Like the readers below it settles a block still in
+  // flight, reading the VM's icount (the VM must be alive until the exit
+  // callback has fired).
+  u64 attributed_instructions();
 
   // Top-N table with nearest-symbol annotation from `program`.
-  std::string report(const assembler::Program& program,
-                     unsigned top_n = 10) const;
+  std::string report(const assembler::Program& program, unsigned top_n = 10);
 
  private:
-  std::map<u32, u64> exec_counts_;
-  std::map<u32, u32> block_insns_;
+  vp::BlockLedger ledger_;
 };
 
 }  // namespace s4e::core

@@ -1,6 +1,7 @@
 #include "coverage/coverage.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/strings.hpp"
 #include "isa/defuse.hpp"
@@ -97,14 +98,11 @@ void CoveragePlugin::on_mem(const s4e_mem_event& event) {
   } else {
     ++data_.loads;
   }
-  for (unsigned i = 0; i < event.size; ++i) {
-    data_.addresses_touched.insert(event.vaddr + i);
-  }
+  touched_.mark_range(event.vaddr, event.size);
+  touched_changed_ = true;
 }
 
-void CoveragePlugin::on_insn_exec(const s4e_insn_info& insn) {
-  ++data_.total_instructions;
-  ++data_.op_counts[insn.op];
+CoveragePlugin::InsnFacts CoveragePlugin::facts_of(const s4e_insn_info& insn) {
   // Reconstruct the operand view and ask the shared def/use model instead
   // of poking OpInfo flags by hand (the same model dataflow analyses use).
   isa::Instr instr;
@@ -113,20 +111,87 @@ void CoveragePlugin::on_insn_exec(const s4e_insn_info& insn) {
   instr.rs1 = insn.rs1;
   instr.rs2 = insn.rs2;
   const isa::DefUse du = isa::def_use(instr);
-  for (unsigned reg = 0; reg < isa::kGprCount; ++reg) {
-    if (du.reads & (u32{1} << reg)) ++data_.gpr_reads[reg];
-    if (du.writes & (u32{1} << reg)) ++data_.gpr_writes[reg];
-  }
+  InsnFacts facts;
+  facts.reads = du.reads;
+  facts.writes = du.writes;
+  facts.op = insn.op;
   // An rs2-slot read of x0 (e.g. `bnez`) still counts a distinct read per
   // operand slot under the old accounting; masks collapse duplicates, so
   // re-add the second slot when both name the same register.
   if (instr.info().reads_rs1 && instr.info().reads_rs2 &&
       insn.rs1 == insn.rs2) {
-    ++data_.gpr_reads[insn.rs1];
+    facts.double_read = insn.rs1;
   }
-  if (instr.info().op_class == isa::OpClass::kCsr) {
-    data_.csrs_accessed.insert(insn.csr);
+  if (instr.info().op_class == isa::OpClass::kCsr) facts.csr = insn.csr;
+  return facts;
+}
+
+void CoveragePlugin::on_tb_trans(const s4e_tb_info& tb) {
+  const auto first = static_cast<u32>(facts_.size());
+  for (u32 i = 0; i < tb.n_insns; ++i) {
+    facts_.push_back(facts_of(tb.insns[i]));
   }
+  // A re-translation with the same facts (a flushed block, the uncached
+  // engine) keeps counting into the existing entry.
+  const u32 latest = ledger_.find(tb.start);
+  if (latest != vp::BlockLedger::kNone &&
+      ledger_.blocks()[latest].size == tb.n_insns) {
+    const auto old = facts_.begin() + translations_[latest].first_fact;
+    if (std::equal(old, old + tb.n_insns, facts_.begin() + first)) {
+      facts_.resize(first);
+      return;
+    }
+  }
+  ledger_.add(tb.start, tb.n_insns);
+  translations_.push_back(Translation{first, 0});
+}
+
+void CoveragePlugin::on_tb_exec(u32 tb_start) {
+  ledger_.dispatch(tb_start, s4e_icount(vm()), cut_folder());
+}
+
+void CoveragePlugin::on_exit(int) {
+  ledger_.close(s4e_icount(vm()), cut_folder());
+}
+
+void CoveragePlugin::fold(u32 block, u32 first, u32 count, u64 times) {
+  const u32 base = translations_[block].first_fact + first;
+  for (u32 i = base; i < base + count; ++i) {
+    const InsnFacts& facts = facts_[i];
+    data_.op_counts[facts.op] += times;
+    for (u32 m = facts.reads; m != 0; m &= m - 1) {
+      data_.gpr_reads[std::countr_zero(m)] += times;
+    }
+    for (u32 m = facts.writes; m != 0; m &= m - 1) {
+      data_.gpr_writes[std::countr_zero(m)] += times;
+    }
+    if (facts.double_read != kNoReg) {
+      data_.gpr_reads[facts.double_read] += times;
+    }
+    if (facts.csr != kNoCsr) data_.csrs_accessed.insert(facts.csr);
+  }
+  data_.total_instructions += count * times;
+}
+
+const CoverageData& CoveragePlugin::data() {
+  if (ledger_.pending()) {
+    ledger_.settle(s4e_icount(vm()), cut_folder());
+  }
+  const auto& blocks = ledger_.blocks();
+  for (u32 i = 0; i < blocks.size(); ++i) {
+    const u64 runs = blocks[i].full_runs - translations_[i].folded_runs;
+    if (runs == 0) continue;
+    translations_[i].folded_runs = blocks[i].full_runs;
+    fold(i, 0, blocks[i].size, runs);
+  }
+  if (touched_changed_) {
+    data_.addresses_touched.clear();
+    touched_.for_each([this](u32 address) {
+      data_.addresses_touched.insert(data_.addresses_touched.end(), address);
+    });
+    touched_changed_ = false;
+  }
+  return data_;
 }
 
 std::string to_report(const CoverageData& data, const std::string& title,

@@ -13,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "common/page_bitmap.hpp"
 #include "isa/csr.hpp"
 #include "isa/opcode.hpp"
 #include "isa/registers.hpp"
+#include "vp/block_ledger.hpp"
 #include "vp/plugin.hpp"
 
 namespace s4e::coverage {
@@ -69,22 +71,66 @@ std::string to_report(const CoverageData& data, const std::string& title,
                       const std::vector<bool>* static_ops = nullptr);
 
 // The plugin: feeds CoverageData from the instruction stream via the C API.
+//
+// Block-granular: per-instruction facts (type, GPR read/write masks, CSR)
+// are derived once per translated block, and executions are counted per
+// block with vp::BlockLedger's icount-delta settling, which is exact for
+// blocks cut short by a trap, an exit, a flush, the budget or a step. The
+// result equals an insn_exec-per-instruction count field for field.
 class CoveragePlugin final : public vp::PluginBase {
  public:
   Subscriptions subscriptions() const override {
     Subscriptions subs;
-    subs.insn_exec = true;
+    subs.tb_trans = true;
+    subs.tb_exec = true;
     subs.mem = true;
+    subs.exit = true;
     return subs;
   }
 
-  void on_insn_exec(const s4e_insn_info& insn) override;
+  void on_tb_trans(const s4e_tb_info& tb) override;
+  void on_tb_exec(u32 tb_start) override;
   void on_mem(const s4e_mem_event& event) override;
+  void on_exit(int exit_code) override;
 
-  const CoverageData& data() const noexcept { return data_; }
-  void reset() { data_ = CoverageData{}; }
+  // Folds the block counts into the returned data. While a block is
+  // pending (a debug stop, or a read from inside a callback) this reads the
+  // VM's icount, so the VM must still be alive; after the exit callback
+  // nothing is pending.
+  const CoverageData& data();
 
  private:
+  static constexpr u8 kNoReg = 0xff;
+  static constexpr u16 kNoCsr = 0xffff;  // CSR addresses are 12 bits
+  struct InsnFacts {
+    u32 reads = 0;   // isa::def_use masks
+    u32 writes = 0;
+    u16 op = 0;
+    u16 csr = kNoCsr;  // CSR accessed by a Zicsr instruction
+    // Register read through both source slots (counted twice), or kNoReg.
+    u8 double_read = kNoReg;
+    bool operator==(const InsnFacts&) const = default;
+  };
+  struct Translation {
+    u32 first_fact = 0;   // facts_[first_fact, first_fact + size)
+    u64 folded_runs = 0;  // full runs already in data_
+  };
+
+  static InsnFacts facts_of(const s4e_insn_info& insn);
+  // Add `times` runs of instructions [first, first + count) of `block`.
+  void fold(u32 block, u32 first, u32 count, u64 times);
+  // The ledger's on_cut hook: a cut-short run is folded at once.
+  auto cut_folder() {
+    return [this](u32 block, u32 first, u32 count) {
+      fold(block, first, count, 1);
+    };
+  }
+
+  vp::BlockLedger ledger_;
+  std::vector<Translation> translations_;  // parallel to ledger_.blocks()
+  std::vector<InsnFacts> facts_;
+  PageBitmap touched_;
+  bool touched_changed_ = false;
   CoverageData data_;
 };
 

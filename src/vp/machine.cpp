@@ -1567,6 +1567,9 @@ RunResult Machine::run_loop(u64 max_insns, StopReason budget_reason) {
 
 u64 Machine::add_tb_trans_cb(s4e_tb_trans_cb cb, void* userdata) {
   tb_trans_cbs_.push_back({cb, userdata});
+  // Blocks already in the cache were translated before this subscriber
+  // existed: retranslate them so it sees every block that runs from now on.
+  if (tb_cache_.size() != 0) request_tb_flush();
   return tb_trans_cbs_.size();
 }
 u64 Machine::add_tb_exec_cb(s4e_tb_exec_cb cb, void* userdata) {

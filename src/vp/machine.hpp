@@ -186,7 +186,8 @@ class Machine {
 
   // Drop every registered plugin callback (per-run plugin attachment on a
   // long-lived machine). Warm translation blocks survive; their tb_trans
-  // events have already fired and are not replayed.
+  // events have already fired and are not replayed, so registering a new
+  // tb_trans callback flushes them (see add_tb_trans_cb).
   void clear_plugins() noexcept;
 
   CpuState& cpu() noexcept { return cpu_; }
@@ -261,6 +262,8 @@ class Machine {
     Cb callback;
     void* userdata;
   };
+  // Requests a TB flush when blocks are cached, so the new subscriber sees
+  // every block that executes from the next block boundary on.
   u64 add_tb_trans_cb(s4e_tb_trans_cb cb, void* userdata);
   u64 add_tb_exec_cb(s4e_tb_exec_cb cb, void* userdata);
   u64 add_insn_exec_cb(s4e_insn_exec_cb cb, void* userdata);

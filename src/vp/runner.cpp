@@ -1,8 +1,8 @@
 #include "vp/runner.hpp"
 
-#include <set>
 #include <utility>
 
+#include "common/page_bitmap.hpp"
 #include "vp/s4e_plugin.h"
 
 namespace s4e::vp {
@@ -39,13 +39,13 @@ Result<GoldenRun> run_golden(Machine& machine,
   // Record touched data memory and executed code through the C API, the
   // same way campaign plugins observe the run.
   struct Tracker {
-    std::set<u32> memory;
-    std::set<u32> code;
+    PageBitmap memory;  // first byte of each data access
+    PageBitmap code;    // translated instruction addresses
   } tracker;
   s4e_register_mem_cb(
       machine.vm_handle(),
       [](void* userdata, s4e_vm*, const s4e_mem_event* event) {
-        static_cast<Tracker*>(userdata)->memory.insert(event->vaddr);
+        static_cast<Tracker*>(userdata)->memory.mark(event->vaddr);
       },
       &tracker);
   s4e_register_tb_trans_cb(
@@ -53,7 +53,7 @@ Result<GoldenRun> run_golden(Machine& machine,
       [](void* userdata, s4e_vm*, const s4e_tb_info* tb) {
         auto* t = static_cast<Tracker*>(userdata);
         for (u32 i = 0; i < tb->n_insns; ++i) {
-          t->code.insert(tb->insns[i].address);
+          t->code.mark(tb->insns[i].address);
         }
       },
       &tracker);
@@ -67,8 +67,8 @@ Result<GoldenRun> run_golden(Machine& machine,
   }
   golden.uart = machine.uart() != nullptr ? machine.uart()->tx_log() : "";
   golden.memory_hash = data_memory_hash(machine, program);
-  golden.executed_code.assign(tracker.code.begin(), tracker.code.end());
-  golden.touched_memory.assign(tracker.memory.begin(), tracker.memory.end());
+  golden.executed_code = tracker.code.sorted();
+  golden.touched_memory = tracker.memory.sorted();
   return golden;
 }
 

@@ -11,6 +11,9 @@
  * Event model (mirrors QEMU):
  *   - tb_trans:  a translation block was (re)built from guest code. Fires
  *                once per block per translation, not per execution.
+ *                Registering it on a VM that has already translated code
+ *                requests a TB flush (applied at the next block boundary),
+ *                so a late subscriber still sees every block that runs.
  *   - tb_exec:   a translated block is about to execute.
  *   - insn_exec: one instruction is about to execute (costly; only
  *                delivered to plugins that registered for it).

@@ -90,5 +90,70 @@ b3: li a7, 93
   EXPECT_EQ(lines, 4u);
 }
 
+// A block cut short by a trap is charged only the instructions it retired:
+// the faulting load ends the loop block after two of its five
+// instructions on every iteration.
+TEST(Profiler, MidBlockTrapIsAttributedExactly) {
+  auto program = assembler::assemble(R"(
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    li s0, 5
+loop:
+    addi s1, s1, 1
+    lw t1, 1(zero)
+    addi s2, s2, 1
+    addi s0, s0, -1
+    bnez s0, loop
+    li a7, 93
+    li a0, 0
+    ecall
+handler:
+    csrr t2, mepc
+    addi t2, t2, 4
+    csrw mepc, t2
+    mret
+  )");
+  ASSERT_TRUE(program.ok());
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  ProfilerPlugin profiler;
+  profiler.attach(machine.vm_handle());
+  const auto result = machine.run();
+  ASSERT_TRUE(result.normal_exit());
+  EXPECT_EQ(profiler.attributed_instructions(), result.instructions);
+
+  // The loop head is dispatched on the four back edges (the first
+  // iteration runs inside the entry block, which the trap also cuts).
+  const u32 loop_addr = *program->symbol("loop");
+  EXPECT_EQ(profiler.exec_counts().at(loop_addr), 4u);
+  // Every handler return resumes after the load, in a block of its own.
+  EXPECT_EQ(profiler.exec_counts().at(loop_addr + 8), 5u);
+}
+
+// Attaching to a machine that already ran: the blocks it cached are
+// retranslated, so every later instruction is attributed.
+TEST(Profiler, LateAttachAttributesEveryLaterInstruction) {
+  auto program = assembler::assemble(R"(
+    li t0, 100
+hot_loop:
+    addi t1, t1, 1
+    addi t0, t0, -1
+    bnez t0, hot_loop
+    li a7, 93
+    li a0, 0
+    ecall
+  )");
+  ASSERT_TRUE(program.ok());
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  ASSERT_EQ(machine.run(150).reason, vp::StopReason::kMaxInstructions);
+  ProfilerPlugin profiler;
+  profiler.attach(machine.vm_handle());
+  const auto result = machine.run();
+  ASSERT_TRUE(result.normal_exit());
+  EXPECT_EQ(profiler.attributed_instructions(), result.instructions - 150);
+}
+
 }  // namespace
 }  // namespace s4e::core

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "asm/assembler.hpp"
 #include "common/rng.hpp"
 #include "vp/machine.hpp"
@@ -612,6 +614,67 @@ TEST(PluginApi, TrapCallbackFires) {
   plugin.attach(machine.vm_handle());
   run_source(machine, "ebreak\n");
   EXPECT_EQ(plugin.traps, 1u);
+}
+
+// Records which block starts were announced by tb_trans before they ran.
+struct BlockWitness : PluginBase {
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.tb_trans = subs.tb_exec = true;
+    return subs;
+  }
+  void on_tb_trans(const s4e_tb_info& tb) override {
+    translated.insert(tb.start);
+  }
+  void on_tb_exec(u32 start) override {
+    ++dispatches;
+    if (translated.count(start) == 0) ++unannounced;
+  }
+
+  std::set<u32> translated;
+  u64 dispatches = 0;
+  u64 unannounced = 0;
+};
+
+constexpr const char* kCountdownLoop = R"(
+    li t0, 100
+loop:
+    addi t1, t1, 1
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, 93
+    li a0, 0
+    ecall
+)";
+
+TEST(PluginApi, LateTbTransSubscriberSeesCachedBlocks) {
+  Machine machine;
+  auto program = assemble(kCountdownLoop);
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  // The loop block is cached by the uninstrumented run before the plugin
+  // exists; registering tb_trans flushes it so it is announced again.
+  ASSERT_EQ(machine.run(50).reason, StopReason::kMaxInstructions);
+  const u64 flushes = machine.tb_cache().flush_count();
+  BlockWitness witness;
+  witness.attach(machine.vm_handle());
+  EXPECT_TRUE(machine.run().normal_exit());
+  EXPECT_EQ(machine.tb_cache().flush_count(), flushes + 1);
+  EXPECT_GT(witness.dispatches, 80u);
+  EXPECT_EQ(witness.unannounced, 0u);
+}
+
+TEST(PluginApi, TbTransSubscriberOnEmptyCacheDoesNotFlush) {
+  Machine machine;
+  auto program = assemble(kCountdownLoop);
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  const u64 flushes = machine.tb_cache().flush_count();
+  BlockWitness witness;
+  witness.attach(machine.vm_handle());
+  EXPECT_TRUE(machine.run().normal_exit());
+  EXPECT_EQ(machine.tb_cache().flush_count(), flushes);
+  EXPECT_EQ(witness.unannounced, 0u);
 }
 
 TEST(PluginApi, StateAccessors) {
