@@ -4,26 +4,6 @@
 
 namespace s4e::exec {
 
-void CampaignExecutor::run(std::size_t count,
-                           const std::function<void(std::size_t)>& job) {
-  if (count == 0) return;
-  if (jobs_ <= 1) {
-    for (std::size_t i = 0; i < count; ++i) job(i);
-    return;
-  }
-  ThreadPool::Options options;
-  options.threads = jobs_;
-  // A shallow backlog is enough to keep every worker fed; submit()'s
-  // backpressure then caps the queue so a million-mutant campaign never
-  // materialises a million closures at once.
-  options.queue_capacity = std::max<std::size_t>(2 * jobs_, 16);
-  ThreadPool pool(options);
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([&job, i] { job(i); });
-  }
-  pool.wait_idle();  // rethrows the first captured job exception
-}
-
 void CampaignExecutor::run_affine(
     std::size_t count, const std::function<void(unsigned, std::size_t)>& job) {
   if (count == 0) return;

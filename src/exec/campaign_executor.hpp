@@ -1,13 +1,12 @@
-// Deterministic fan-out driver for campaign-style workloads: N independent
-// jobs (one guest execution per fault/mutant), each writing its result into
-// a slot chosen by submission index.
+// Deterministic fan-out for campaign-style workloads: N independent jobs
+// (one guest execution per fault/mutant), each writing its result into a
+// slot chosen by submission index (exec::run_campaign is the one caller).
 //
 // Determinism contract: because every job owns its slot and aggregation
 // happens *after* the barrier by walking the slots in submission order, the
-// output of run() is bit-identical to a serial loop over the same jobs —
-// regardless of thread count or OS scheduling. jobs == 1 bypasses the pool
-// entirely and runs the jobs inline on the caller's thread (the exact
-// pre-parallelism code path).
+// result is bit-identical to a serial loop over the same jobs — regardless
+// of thread count or OS scheduling. jobs == 1 bypasses the pool entirely
+// and runs the jobs inline on the caller's thread.
 //
 // Progress contract: workers bump atomic counters (jobs done + a caller-
 // defined 8-bucket histogram); a monitor thread may take consistent-enough
@@ -79,16 +78,9 @@ class CampaignExecutor {
 
   unsigned jobs() const noexcept { return jobs_; }
 
-  // Run job(i) for every i in [0, count). Serial (inline) when jobs() == 1,
-  // thread-pooled otherwise; returns after all jobs finished. The first
-  // exception thrown by any job is rethrown here (remaining queued jobs are
-  // still executed — campaign slots must all be filled or failed, never
-  // silently skipped).
-  void run(std::size_t count, const std::function<void(std::size_t)>& job);
-
-  // Worker-affine variant: run job(worker, i) for every i in [0, count),
-  // where `worker` identifies the executing lane (0..jobs()-1, stable for
-  // that lane's whole lifetime). One long-lived pool task per lane claims
+  // Run job(worker, i) for every i in [0, count), where `worker`
+  // identifies the executing lane (0..jobs()-1, stable for that lane's
+  // whole lifetime). One long-lived pool task per lane claims
   // indices from a shared atomic counter, so a lane can keep worker-local
   // state (e.g. a reusable vp::Machine) across the jobs it executes while
   // load balancing stays dynamic. Determinism is unchanged: slots are still

@@ -12,17 +12,19 @@
 #include <vector>
 
 #include "asm/program.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
-#include "coverage/coverage.hpp"
 #include "dataflow/triage.hpp"
-#include "exec/campaign_executor.hpp"
+#include "exec/campaign_driver.hpp"
 #include "vp/machine.hpp"
 #include "vp/plugin.hpp"
 
 namespace s4e::fault {
 
 enum class FaultTarget : u8 { kGpr, kMemory, kCode };
+
+// "gpr", "mem", "code" (fault lists and the fleet wire records).
+std::string_view to_string(FaultTarget target) noexcept;
+
 enum class FaultKind : u8 {
   kTransient,  // one bit-flip at a trigger instruction count
   kStuckAt,    // bit permanently forced to `stuck_value`
@@ -98,52 +100,19 @@ struct MutantResult {
   std::string post_mortem;
 };
 
-struct CampaignConfig {
+// Fault-list knobs; the ones shared with mutation campaigns (jobs, reuse,
+// triage, shard, observability, hang budget, machine) are inherited.
+struct CampaignConfig : exec::CampaignOptions {
   u64 seed = 1;
   unsigned mutant_count = 200;
   bool coverage_directed = true;  // E5 ablation switch
   bool gpr_faults = true;
   bool memory_faults = true;
   bool code_faults = true;
-  // Hang budget as a multiple of the golden run's instruction count.
-  u64 hang_budget_factor = 8;
   // Deep-state comparison: also compare the final .data contents against
   // the golden run, catching silent corruption that never reaches the exit
   // code or the UART (classified as SDC).
   bool compare_memory = true;
-  // Worker threads for the mutant simulations (each worker owns a private
-  // vp::Machine, so results are bit-identical to the serial run). 0 =
-  // hardware_concurrency, 1 = run inline on the calling thread (the exact
-  // serial code path).
-  unsigned jobs = 0;
-  // Reuse one long-lived machine per worker across its mutants: the loaded
-  // state is snapshotted once and restored (dirty pages only, warm TB
-  // cache) before every run. Off = build a fresh machine per mutant (the
-  // pre-snapshot code path); results are bit-identical either way.
-  bool reuse_machines = true;
-  // --- Observability (src/obs). Neither switch changes any mutant outcome
-  // or the campaign's stdout report — runs are only observed.
-  // Collect campaign telemetry into CampaignResult::metrics_json.
-  bool collect_metrics = false;
-  // Attach a flight recorder to every mutant run and keep a post-mortem of
-  // the last `post_mortem_events` events for every kHang/kCrash mutant.
-  bool post_mortem = false;
-  unsigned post_mortem_events = 16;
-  // Static campaign triage (dataflow::StaticTriage). kOn skips mutants whose
-  // outcome is statically provable (they report kMasked with zero simulated
-  // instructions); kVerify runs them anyway and errors on any mismatch
-  // between the static verdict and the dynamic outcome.
-  dataflow::TriageMode triage = dataflow::TriageMode::kOff;
-  // Shard selection for multi-process fleets (s4e-campaignd): the full
-  // fault list is still generated deterministically (same RNG sequence for
-  // every shard), then only the contiguous index range
-  // [floor(i*M/N), floor((i+1)*M/N)) is simulated, where M is the full
-  // list size, i = shard_index and N = shard_count. The union of all N
-  // shards' results is exactly the serial campaign; shard_count == 1 is
-  // the whole campaign (the default, bit-identical to the pre-shard code).
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
-  vp::MachineConfig machine;
 };
 
 struct CampaignResult {
@@ -173,6 +142,9 @@ struct CampaignResult {
   u64 count(Outcome outcome) const {
     return outcome_counts[static_cast<unsigned>(outcome)];
   }
+  // Fold one mutant into the counters and the list (campaign driver and
+  // fleet merge alike, in global index order).
+  void add(MutantResult mutant);
   // Non-masked ("informative") fraction for one fault target class.
   double informative_fraction(FaultTarget target) const;
   std::string to_string() const;
@@ -196,26 +168,8 @@ class Campaign {
   const exec::CampaignProgress& progress() const noexcept { return progress_; }
 
  private:
-  struct Profile {
-    coverage::CoverageData coverage;
-    std::vector<u32> touched_memory;   // data addresses accessed
-    std::vector<u32> executed_code;    // instruction addresses executed
-  };
-
-  Result<Profile> profile_run(CampaignResult& result);
-  std::vector<FaultSpec> generate_faults(const Profile& profile);
-  Outcome classify(const vp::RunResult& run, const std::string& uart,
-                   u64 memory_hash, const CampaignResult& golden) const;
-  // One mutant simulation on `machine`, which must hold the freshly loaded
-  // (or snapshot-restored) program with no plugins attached. Thread-safe:
-  // shares only the immutable program and golden reference.
-  Result<MutantResult> run_mutant_on(vp::Machine& machine,
-                                     const FaultSpec& spec,
-                                     const CampaignResult& golden) const;
-  // Fresh-machine path (reuse_machines off): build, load, run one mutant.
-  Result<MutantResult> run_mutant(const FaultSpec& spec,
-                                  const vp::MachineConfig& machine_config,
-                                  const CampaignResult& golden) const;
+  // The exec::run_campaign hooks (fault.cpp).
+  struct Engine;
 
   assembler::Program program_;
   CampaignConfig config_;

@@ -661,11 +661,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       mutant.exit_code = record.exit_code;
       mutant.instructions = record.instructions;
       mutant.pruned = record.pruned;
-      ++result.outcome_counts[record.bucket];
-      result.pruned_count += record.pruned ? 1 : 0;
-      result.simulated_instructions +=
-          static_cast<double>(record.instructions);
-      result.mutants.push_back(std::move(mutant));
+      result.add(std::move(mutant));
     }
     out.report = result.to_string();
   } else {
@@ -679,9 +675,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       result.exit_code = record.exit_code;
       result.instructions = record.instructions;
       result.pruned = record.pruned;
-      ++score.verdict_counts[record.bucket];
-      score.pruned_count += record.pruned ? 1 : 0;
-      score.results.push_back(std::move(result));
+      score.add(std::move(result));
     }
     out.report = score.to_string();
   }

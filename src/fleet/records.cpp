@@ -6,18 +6,28 @@ namespace s4e::fleet {
 
 namespace {
 
-constexpr std::string_view kFaultTargets[] = {"gpr", "mem", "code"};
-constexpr std::string_view kOutcomes[] = {"masked", "sdc", "crash", "hang"};
-constexpr std::string_view kOperators[] = {"opcode-subst", "register-repl",
-                                           "imm-perturb"};
-constexpr std::string_view kVerdicts[] = {"killed-result", "killed-crash",
-                                          "killed-hang", "SURVIVED"};
+// Wire names are the engines' own names: fault targets and outcomes,
+// mutation operators and verdicts.
+constexpr u8 kClasses = 3;  // FaultTarget / Operator values
+constexpr u8 kBuckets = 4;  // Outcome / Verdict values
 
-template <std::size_t N>
-std::optional<u8> match(const std::string_view (&names)[N],
-                        std::string_view text) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (names[i] == text) return static_cast<u8>(i);
+std::string_view class_name(Mode mode, u8 klass) noexcept {
+  return mode == Mode::kFault
+             ? fault::to_string(static_cast<fault::FaultTarget>(klass))
+             : mutation::to_string(static_cast<mutation::Operator>(klass));
+}
+
+std::string_view bucket_name(Mode mode, u8 bucket) noexcept {
+  return mode == Mode::kFault
+             ? fault::to_string(static_cast<fault::Outcome>(bucket))
+             : mutation::to_string(static_cast<mutation::Verdict>(bucket));
+}
+
+// The value among the first `count` whose wire name is `text`.
+std::optional<u8> match(std::string_view (*name)(Mode, u8) noexcept,
+                        Mode mode, u8 count, std::string_view text) {
+  for (u8 i = 0; i < count; ++i) {
+    if (name(mode, i) == text) return i;
   }
   return std::nullopt;
 }
@@ -82,12 +92,8 @@ std::string encode(const MetaLine& meta) {
 }
 
 std::string encode(Mode mode, const RecordLine& record) {
-  const std::string_view klass = mode == Mode::kFault
-                                     ? kFaultTargets[record.klass]
-                                     : kOperators[record.klass];
-  const std::string_view bucket = mode == Mode::kFault
-                                      ? kOutcomes[record.bucket]
-                                      : kVerdicts[record.bucket];
+  const std::string_view klass = class_name(mode, record.klass);
+  const std::string_view bucket = bucket_name(mode, record.bucket);
   return format("{\"i\":%llu,\"class\":\"%s\",\"bucket\":\"%s\",\"exit\":%d,"
                 "\"insns\":%llu,\"pruned\":%u}",
                 static_cast<unsigned long long>(record.index),
@@ -246,10 +252,8 @@ Result<ParsedLine> parse_line(std::string_view line, Mode mode) {
                  "fleet record line: missing field in '" +
                      std::string(line.substr(0, 120)) + "'");
   }
-  const auto klass_value = mode == Mode::kFault ? match(kFaultTargets, *klass)
-                                                : match(kOperators, *klass);
-  const auto bucket_value = mode == Mode::kFault ? match(kOutcomes, *bucket)
-                                                 : match(kVerdicts, *bucket);
+  const auto klass_value = match(class_name, mode, kClasses, *klass);
+  const auto bucket_value = match(bucket_name, mode, kBuckets, *bucket);
   if (!klass_value || !bucket_value) {
     return Error(ErrorCode::kParseError,
                  "fleet record line: unknown class or bucket");

@@ -1,7 +1,6 @@
 #include "mutation/mutation.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "common/strings.hpp"
@@ -9,8 +8,6 @@
 #include "isa/disasm.hpp"
 #include "isa/encoder.hpp"
 #include "isa/rvc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "vp/runner.hpp"
 
 namespace s4e::mutation {
@@ -244,230 +241,116 @@ std::vector<Mutant> enumerate_mutants(const assembler::Program& program,
   return mutants;
 }
 
-Result<MutationScore> MutationCampaign::run() {
-  if (config_.shard_count < 1 || config_.shard_index >= config_.shard_count) {
-    return Error(ErrorCode::kInvalidArgument,
-                 format("invalid shard %u/%u", config_.shard_index,
-                        config_.shard_count));
-  }
-  // Golden run + executed-address profile.
-  vp::Machine machine(config_.machine);
-  S4E_TRY(golden, vp::run_golden(machine, program_));
+struct MutationCampaign::Engine {
+  using Report = MutationScore;
+  using Mutant = MutantResult;
+  static constexpr unsigned kProvenBucket =
+      static_cast<unsigned>(Verdict::kSurvived);
 
-  std::vector<u32> executed_list;
-  if (config_.executed_only) executed_list = std::move(golden.executed_code);
-  std::vector<Mutant> mutants = enumerate_mutants(program_, executed_list);
-  if (config_.max_mutants != 0 && mutants.size() > config_.max_mutants) {
-    mutants.resize(config_.max_mutants);
-  }
+  const MutationCampaign& campaign;
+  vp::GoldenRun golden;
+  std::vector<mutation::Mutant> mutants;
 
-  // Static triage: classify every mutant up front. Enumeration and the cap
-  // are unaffected, so the non-pruned subset matches a triage-off run.
-  std::vector<dataflow::TriageDecision> decisions(mutants.size());
-  if (config_.triage != dataflow::TriageMode::kOff) {
-    dataflow::TriageOptions triage_options;
-    triage_options.stack_top =
-        config_.machine.ram_base + config_.machine.ram_size;
-    S4E_TRY(triage, dataflow::StaticTriage::build(program_, triage_options));
-    for (std::size_t i = 0; i < mutants.size(); ++i) {
-      decisions[i] =
-          triage.mutant(mutants[i].address, mutants[i].length,
-                        mutants[i].original, mutants[i].mutated);
+  // Golden run + executed-address profile, then the (capped) enumeration.
+  Result<MutationScore> start() {
+    const MutationConfig& config = campaign.config_;
+    vp::Machine machine(config.machine);
+    S4E_TRY(run, vp::run_golden(machine, campaign.program_));
+    golden = std::move(run);
+    std::vector<u32> executed_list;
+    if (config.executed_only) executed_list = std::move(golden.executed_code);
+    mutants = enumerate_mutants(campaign.program_, executed_list);
+    if (config.max_mutants != 0 && mutants.size() > config.max_mutants) {
+      mutants.resize(config.max_mutants);
     }
+    MutationScore score;
+    score.total_mutants = mutants.size();
+    return score;
   }
-  const bool skip_pruned = config_.triage == dataflow::TriageMode::kOn;
 
-  vp::MachineConfig mutant_config = config_.machine;
-  mutant_config.max_instructions = vp::hang_budget(
-      golden.result.instructions, config_.hang_budget_factor,
-      config_.machine.max_instructions);
-
-  // Shard selection: enumeration and triage above cover the *full* mutant
-  // list (identical for every shard); only the contiguous global index
-  // range [begin, end) is executed here.
-  const u64 total = mutants.size();
-  const u64 begin = total * config_.shard_index / config_.shard_count;
-  const u64 end = total * (config_.shard_index + 1) / config_.shard_count;
-  const std::size_t count = static_cast<std::size_t>(end - begin);
-
-  // Independent mutant runs fanned out over the executor; each job fills
-  // only its own slot, and the verdict histogram is aggregated afterwards
-  // in submission order — the score is bit-identical to a serial run,
-  // with or without machine reuse.
-  MutationScore score;
-  score.shard_begin = begin;
-  score.total_mutants = total;
-  std::vector<MutantResult> slots(count);
-  std::vector<std::optional<Error>> errors(count);
-  progress_.begin(count);
-  exec::CampaignExecutor executor(config_.jobs);
-  // Telemetry shards are per worker lane (lock-free: each lane writes only
-  // its own shard) and fold deterministically after the barrier.
-  std::unique_ptr<obs::CampaignTelemetry> telemetry;
-  if (config_.collect_metrics) {
-    telemetry = std::make_unique<obs::CampaignTelemetry>(
-        std::vector<std::string>{"killed_result", "killed_crash",
-                                 "killed_hang", "survived"},
-        executor.jobs());
-    telemetry->set_campaign(count, golden.result.instructions,
-                            mutant_config.max_instructions);
+  std::size_t size() const { return mutants.size(); }
+  u64 golden_instructions() const { return golden.result.instructions; }
+  const assembler::Program& program() const { return campaign.program_; }
+  std::vector<std::string> metric_buckets() const {
+    return {"killed_result", "killed_crash", "killed_hang", "survived"};
   }
-  const auto record = [&](unsigned worker, std::size_t index,
-                          Result<MutantResult> result) {
-    if (result.ok()) {
-      const unsigned bucket = static_cast<unsigned>(result->verdict);
-      // Statically decided mutants were never run; they count toward the
-      // verdict histogram but not the run telemetry.
-      if (telemetry != nullptr && !(skip_pruned && result->pruned)) {
-        telemetry->record_run(worker, bucket, result->instructions,
-                              !result->post_mortem.empty());
-      }
-      slots[index] = std::move(*result);
-      progress_.record(bucket);
-    } else {
-      errors[index] = result.error();
-      progress_.record(exec::CampaignProgress::kBuckets);  // count done only
-    }
-  };
-  // Short-circuit for statically proven-equivalent mutants (triage on), and
-  // the verify-mode cross-check for mutants that *would* have been pruned.
-  // These index the *global* mutant list; `record` above takes the local
-  // slot index within the shard.
-  const auto synthesize = [&](std::size_t global) -> MutantResult {
+
+  dataflow::TriageDecision triage(const dataflow::StaticTriage& analysis,
+                                  std::size_t i) const {
+    const mutation::Mutant& mutant = mutants[i];
+    return analysis.mutant(mutant.address, mutant.length, mutant.original,
+                           mutant.mutated);
+  }
+
+  MutantResult proven(std::size_t i) const {
     MutantResult result;
-    result.mutant = mutants[global];
+    result.mutant = mutants[i];
     result.verdict = Verdict::kSurvived;
     result.exit_code = golden.result.exit_code;
-    result.pruned = true;
-    result.prune_reason = decisions[global].reason;
     return result;
-  };
-  const auto finish = [&](std::size_t global,
-                          Result<MutantResult> result) -> Result<MutantResult> {
-    if (!result.ok() || !decisions[global].pruned) return result;
-    result->pruned = true;
-    result->prune_reason = decisions[global].reason;
-    if (config_.triage == dataflow::TriageMode::kVerify &&
-        result->verdict != Verdict::kSurvived) {
-      return Error(
-          ErrorCode::kAnalysisError,
-          format("triage verify mismatch: mutant 0x%08x (%s) statically "
-                 "pruned as '%s' but dynamically %s",
-                 result->mutant.address, result->mutant.description.c_str(),
-                 result->prune_reason.c_str(),
-                 std::string(mutation::to_string(result->verdict)).c_str()));
-    }
-    return result;
-  };
-  if (config_.reuse_machines) {
-    // One long-lived machine per worker lane; each mutant starts from a
-    // dirty-page restore of the loaded state instead of a fresh build.
-    std::vector<std::unique_ptr<vp::WorkerVm>> vms(executor.jobs());
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));  // no VM needed
-        return;
-      }
-      if (vms[worker] == nullptr) {
-        auto vm = vp::WorkerVm::create(mutant_config, program_);
-        if (!vm.ok()) {
-          record(worker, index, vm.error());
-          return;
-        }
-        vms[worker] = std::move(*vm);
-      }
-      record(worker, index,
-             finish(global, run_mutant_on(vms[worker]->prepare(),
-                                          mutants[global],
-                                          golden.result.exit_code,
-                                          golden.uart)));
-    });
-    for (const auto& vm : vms) {
-      if (vm != nullptr) score.snapshot_stats += vm->stats();
-    }
-  } else {
-    // Fresh machine per mutant, still lane-affine so the metric shards have
-    // a stable worker index (slot determinism is unchanged).
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));
-        return;
-      }
-      record(worker, index,
-             finish(global, run_mutant(mutants[global], mutant_config,
-                                       golden.result.exit_code,
-                                       golden.uart)));
-    });
   }
 
-  score.results.reserve(slots.size());
-  for (std::size_t index = 0; index < slots.size(); ++index) {
-    if (errors[index].has_value()) return *errors[index];
-    ++score.verdict_counts[static_cast<unsigned>(slots[index].verdict)];
-    score.pruned_count += slots[index].pruned ? 1 : 0;
-    score.results.push_back(std::move(slots[index]));
-  }
-  if (telemetry != nullptr) {
-    if (config_.triage != dataflow::TriageMode::kOff) {
-      telemetry->set_pruned(score.pruned_count);
+  // One mutant run on `vm`, which holds the freshly loaded (or
+  // snapshot-restored) unmutated program; the mutated encoding is patched
+  // in here and the touched translation blocks invalidated. Thread-safe:
+  // shares only the immutable program and the golden reference.
+  template <class Run>
+  Result<MutantResult> execute(vp::Machine& vm, std::size_t i,
+                               Run&& run) const {
+    // On a reused machine warm translation blocks cover the patched
+    // address, so the overlapping blocks must be dropped explicitly
+    // (ram_write bypasses the bus's self-modification detection).
+    const mutation::Mutant& mutant = mutants[i];
+    u8 bytes[4];
+    for (unsigned k = 0; k < mutant.length; ++k) {
+      bytes[k] = static_cast<u8>(mutant.mutated >> (8 * k));
     }
-    score.metrics_json = telemetry->to_json();
+    S4E_TRY_STATUS(vm.bus().ram_write(mutant.address, bytes, mutant.length));
+    vm.tb_cache().invalidate_range(mutant.address, mutant.length);
+
+    const vp::RunResult run_result = run(vm);
+    MutantResult result;
+    result.mutant = mutant;
+    result.exit_code = run_result.exit_code;
+    result.instructions = run_result.instructions;
+    if (run_result.reason == vp::StopReason::kMaxInstructions) {
+      result.verdict = Verdict::kKilledHang;
+    } else if (!run_result.normal_exit()) {
+      result.verdict = Verdict::kKilledCrash;
+    } else if (run_result.exit_code != golden.result.exit_code ||
+               (vm.uart() != nullptr && vm.uart()->tx_log() != golden.uart)) {
+      result.verdict = Verdict::kKilledResult;
+    } else {
+      result.verdict = Verdict::kSurvived;
+    }
+    return result;
   }
-  return score;
+
+  static unsigned bucket(const MutantResult& result) {
+    return static_cast<unsigned>(result.verdict);
+  }
+  static bool failed(const MutantResult& result) {
+    return result.verdict == Verdict::kKilledHang ||
+           result.verdict == Verdict::kKilledCrash;
+  }
+  std::string describe(const MutantResult& result) const {
+    return format("mutant 0x%08x (%s)", result.mutant.address,
+                  result.mutant.description.c_str());
+  }
+  static std::string bucket_name(const MutantResult& result) {
+    return std::string(mutation::to_string(result.verdict));
+  }
+};
+
+Result<MutationScore> MutationCampaign::run() {
+  Engine engine{*this, {}, {}};
+  return exec::run_campaign(engine, config_, progress_);
 }
 
-Result<MutantResult> MutationCampaign::run_mutant_on(
-    vp::Machine& vm, const Mutant& mutant, int golden_exit_code,
-    const std::string& golden_uart) const {
-  // Patch the mutated encoding over the original bytes. On a reused
-  // machine warm translation blocks cover the patched address, so the
-  // overlapping blocks must be dropped explicitly (ram_write bypasses the
-  // bus's self-modification detection).
-  u8 bytes[4];
-  for (unsigned i = 0; i < mutant.length; ++i) {
-    bytes[i] = static_cast<u8>(mutant.mutated >> (8 * i));
-  }
-  S4E_TRY_STATUS(vm.bus().ram_write(mutant.address, bytes, mutant.length));
-  vm.tb_cache().invalidate_range(mutant.address, mutant.length);
-
-  // The recorder is passive (it only reads the event structs), so verdicts
-  // are bit-identical with and without it.
-  std::unique_ptr<obs::FlightRecorderPlugin> recorder;
-  if (config_.post_mortem) {
-    recorder = std::make_unique<obs::FlightRecorderPlugin>(
-        config_.post_mortem_events);
-    recorder->attach(vm.vm_handle());
-  }
-  const vp::RunResult run = vm.run();
-  MutantResult result;
-  result.mutant = mutant;
-  result.exit_code = run.exit_code;
-  result.instructions = run.instructions;
-  if (run.reason == vp::StopReason::kMaxInstructions) {
-    result.verdict = Verdict::kKilledHang;
-  } else if (!run.normal_exit()) {
-    result.verdict = Verdict::kKilledCrash;
-  } else if (run.exit_code != golden_exit_code ||
-             (vm.uart() != nullptr && vm.uart()->tx_log() != golden_uart)) {
-    result.verdict = Verdict::kKilledResult;
-  } else {
-    result.verdict = Verdict::kSurvived;
-  }
-  if (recorder != nullptr && (result.verdict == Verdict::kKilledHang ||
-                              result.verdict == Verdict::kKilledCrash)) {
-    result.post_mortem = recorder->post_mortem(config_.post_mortem_events);
-  }
-  return result;
-}
-
-Result<MutantResult> MutationCampaign::run_mutant(
-    const Mutant& mutant, const vp::MachineConfig& machine_config,
-    int golden_exit_code, const std::string& golden_uart) const {
-  vp::Machine vm(machine_config);
-  S4E_TRY_STATUS(vm.load_program(program_));
-  return run_mutant_on(vm, mutant, golden_exit_code, golden_uart);
+void MutationScore::add(MutantResult result) {
+  ++verdict_counts[static_cast<unsigned>(result.verdict)];
+  pruned_count += result.pruned ? 1 : 0;
+  results.push_back(std::move(result));
 }
 
 }  // namespace s4e::mutation

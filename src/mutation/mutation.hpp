@@ -18,7 +18,7 @@
 #include "asm/program.hpp"
 #include "common/status.hpp"
 #include "dataflow/triage.hpp"
-#include "exec/campaign_executor.hpp"
+#include "exec/campaign_driver.hpp"
 #include "isa/instr.hpp"
 #include "vp/machine.hpp"
 
@@ -98,49 +98,22 @@ struct MutationScore {
   }
   // Kill rate restricted to one operator class.
   double score(Operator op) const;
+  // Fold one mutant into the counters and the list (campaign driver and
+  // fleet merge alike, in global index order).
+  void add(MutantResult result);
 
   std::string to_string() const;
 };
 
-struct MutationConfig {
+// Enumeration knobs; the ones shared with fault campaigns (jobs, reuse,
+// triage, shard, observability, hang budget, machine) are inherited.
+struct MutationConfig : exec::CampaignOptions {
   // Only mutate instructions the golden run actually executes (everything
   // else trivially survives and would dilute the score meaninglessly).
   bool executed_only = true;
   // Cap on generated mutants (0 = unlimited); selection is deterministic
-  // (first-N in address order).
+  // (first-N in address order). Shards split the capped list.
   unsigned max_mutants = 0;
-  u64 hang_budget_factor = 8;
-  // Worker threads for the mutant runs (one private vp::Machine per
-  // worker; the score is bit-identical to the serial run). 0 =
-  // hardware_concurrency, 1 = inline serial execution.
-  unsigned jobs = 0;
-  // Reuse one long-lived machine per worker across its mutants (snapshot
-  // once, dirty-page restore + patch per mutant, warm TB cache except the
-  // mutated block). Off = fresh machine per mutant; the score is
-  // bit-identical either way.
-  bool reuse_machines = true;
-  // --- Observability (src/obs). Neither switch changes any verdict or the
-  // campaign's stdout report — runs are only observed.
-  // Collect campaign telemetry into MutationScore::metrics_json.
-  bool collect_metrics = false;
-  // Attach a flight recorder to every mutant run and keep a post-mortem of
-  // the last `post_mortem_events` events for every hang/crash kill.
-  bool post_mortem = false;
-  unsigned post_mortem_events = 16;
-  // Static campaign triage (dataflow::StaticTriage). kOn skips mutants the
-  // analysis proves equivalent to the original under the kill criteria
-  // (they report kSurvived with zero executed instructions); kVerify runs
-  // them anyway and errors on any static/dynamic mismatch.
-  dataflow::TriageMode triage = dataflow::TriageMode::kOff;
-  // Shard selection for multi-process fleets (s4e-campaignd): mutants are
-  // still enumerated for the *whole* program (identical ordering for every
-  // shard, max_mutants cap applied first), then only the contiguous index
-  // range [floor(i*M/N), floor((i+1)*M/N)) is executed. The union of all N
-  // shards' results is exactly the serial campaign; shard_count == 1 is
-  // the whole campaign (the default, bit-identical to the pre-shard code).
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
-  vp::MachineConfig machine;
 };
 
 // Enumerate all mutants of `program` (deterministic, address-ordered).
@@ -165,19 +138,8 @@ class MutationCampaign {
   }
 
  private:
-  // One mutant run on `machine`, which must hold the freshly loaded (or
-  // snapshot-restored) unmutated program; the mutated encoding is patched
-  // in here and the touched translation blocks invalidated. Thread-safe:
-  // shares only the immutable program and the golden reference.
-  Result<MutantResult> run_mutant_on(vp::Machine& machine,
-                                     const Mutant& mutant,
-                                     int golden_exit_code,
-                                     const std::string& golden_uart) const;
-  // Fresh-machine path (reuse_machines off): build, load, run one mutant.
-  Result<MutantResult> run_mutant(const Mutant& mutant,
-                                  const vp::MachineConfig& machine_config,
-                                  int golden_exit_code,
-                                  const std::string& golden_uart) const;
+  // The exec::run_campaign hooks (mutation.cpp).
+  struct Engine;
 
   assembler::Program program_;
   MutationConfig config_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "common/strings.hpp"
 
 namespace s4e::obs {

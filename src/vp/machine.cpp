@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "common/strings.hpp"
 #include "isa/decoder.hpp"
 #include "isa/rvc.hpp"

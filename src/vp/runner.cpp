@@ -73,17 +73,27 @@ Result<GoldenRun> run_golden(Machine& machine,
 }
 
 Result<std::unique_ptr<WorkerVm>> WorkerVm::create(
-    const MachineConfig& config, const assembler::Program& program) {
-  std::unique_ptr<WorkerVm> vm(new WorkerVm(config));
-  S4E_TRY_STATUS(vm->machine_.load_program(program));
-  vm->machine_.save_state(vm->baseline_);
+    const MachineConfig& config, const assembler::Program& program,
+    Policy policy) {
+  std::unique_ptr<WorkerVm> vm(new WorkerVm(config, program, policy));
+  S4E_TRY_STATUS(vm->machine_->load_program(program));
+  if (policy == Policy::kRestore) vm->machine_->save_state(vm->baseline_);
   return vm;
 }
 
 Machine& WorkerVm::prepare() {
-  machine_.clear_plugins();
-  machine_.restore_state(baseline_);
-  return machine_;
+  if (policy_ == Policy::kRestore) {
+    machine_->clear_plugins();
+    machine_->restore_state(baseline_);
+  } else if (handed_out_) {
+    machine_.emplace(config_);
+    // create() loaded the same program into the same configuration, so a
+    // failure here is a broken invariant, not an input error.
+    const Status loaded = machine_->load_program(program_);
+    S4E_CHECK(loaded.ok());
+  }
+  handed_out_ = true;
+  return *machine_;
 }
 
 }  // namespace s4e::vp

@@ -1,10 +1,10 @@
 // Shared campaign-runner plumbing: the golden-run setup and final-state
 // hashing that fault-effect analysis and binary mutation both need, plus
-// the per-worker reusable VM (snapshot once, restore per mutant) that both
-// campaign engines drive through CampaignExecutor::run_affine().
+// the per-worker VM that exec::run_campaign gives each worker lane.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,27 +44,45 @@ struct GoldenRun {
 Result<GoldenRun> run_golden(Machine& machine,
                              const assembler::Program& program);
 
-// One worker's long-lived VM for a mutant campaign: the machine is built
-// and loaded once, a baseline Snapshot is captured, and every subsequent
-// prepare() hands back a machine restored to the loaded state — dirty
-// pages only, TB cache warm, previous run's plugins dropped.
+// One worker's long-lived VM for a mutant campaign. Every prepare() hands
+// back a machine holding the freshly loaded program with no plugins
+// attached; the policy decides how:
+//   - kRestore: the machine is built and loaded once, a baseline Snapshot
+//     is captured, and prepare() restores it — dirty pages only, TB cache
+//     warm, previous run's plugins dropped;
+//   - kRebuild: prepare() builds and loads a new machine (the first call
+//     hands out the one create() built). This is the pre-snapshot path and
+//     the oracle the restore layer is checked against.
 class WorkerVm {
  public:
+  enum class Policy : u8 { kRestore, kRebuild };
+
+  // `program` must outlive the WorkerVm.
   static Result<std::unique_ptr<WorkerVm>> create(
-      const MachineConfig& config, const assembler::Program& program);
+      const MachineConfig& config, const assembler::Program& program,
+      Policy policy = Policy::kRestore);
 
   // Baseline machine for the next mutant run.
   Machine& prepare();
 
-  Machine& machine() noexcept { return machine_; }
+  Machine& machine() noexcept { return *machine_; }
   const SnapshotStats& stats() const noexcept {
-    return machine_.snapshot_stats();
+    return machine_->snapshot_stats();
   }
 
  private:
-  explicit WorkerVm(const MachineConfig& config) : machine_(config) {}
+  WorkerVm(const MachineConfig& config, const assembler::Program& program,
+           Policy policy)
+      : config_(config),
+        program_(program),
+        policy_(policy),
+        machine_(std::in_place, config) {}
 
-  Machine machine_;
+  MachineConfig config_;
+  const assembler::Program& program_;
+  Policy policy_;
+  bool handed_out_ = false;  // kRebuild: the current machine has run
+  std::optional<Machine> machine_;
   Snapshot baseline_;
 };
 

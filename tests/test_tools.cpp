@@ -9,8 +9,11 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
+#include <vector>
 
 #ifndef S4E_TOOL_DIR
 #error "S4E_TOOL_DIR must be defined by the build system"
@@ -398,6 +401,162 @@ TEST(ToolFaultsim, BrokenStdoutAfterCampaignExitsNonZero) {
   EXPECT_NE(result.output.find("error writing to stdout"), std::string::npos)
       << result.output;
   std::remove(elf_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Campaign CLI contract: the stdout report of s4e-faultsim and s4e-mutate is
+// byte-identical whatever the worker count, machine reuse (restored vs
+// freshly built machines) and observability flags — those write only to
+// stderr or to files.
+
+// Runs `command` with its stderr discarded; output holds stdout only.
+CommandResult run_stdout(const std::string& command) {
+  return run_command("(" + command + " 2>/dev/null)");
+}
+
+class CampaignCli : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    elf_ = temp_path("campaign_pid.elf");
+    auto result = run_command(tool("s4e-as") + " --workload pid -o " + elf_);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+  }
+  void TearDown() override { std::remove(elf_.c_str()); }
+
+  // Every variant's stdout equals the serial run's, for each base
+  // argument set; the post-mortem directory gets one mutant_NNN.txt per
+  // crashed or hung mutant, starting with that mutant's header.
+  void expect_invariant_stdout(const std::string& name,
+                               const std::vector<std::string>& bases) {
+    const char* variants[] = {
+        "--jobs 3",
+        "--jobs 1 --reuse-machine=off",
+        "--jobs 3 --reuse-machine=off",
+        "--jobs 2 --reuse-machine",
+        "--jobs 2 --progress",
+        "--jobs 2 --snapshot-stats",
+        "--jobs 2 --post-mortem",
+    };
+    for (const std::string& base : bases) {
+      const std::string command = tool(name) + " " + elf_ + " " + base;
+      const auto reference = run_stdout(command + " --jobs 1");
+      ASSERT_EQ(reference.exit_code, 0) << command;
+      ASSERT_NE(reference.output.find("mutants"), std::string::npos);
+      for (const char* variant : variants) {
+        const auto run = run_stdout(command + " " + variant);
+        EXPECT_EQ(run.exit_code, 0) << base << " " << variant;
+        EXPECT_EQ(run.output, reference.output) << base << " " << variant;
+      }
+
+      const std::string dir = temp_path("post_mortems");
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directory(dir);
+      const auto dumped =
+          run_stdout(command + " --jobs 2 --post-mortem-dir " + dir);
+      EXPECT_EQ(dumped.exit_code, 0) << base;
+      EXPECT_EQ(dumped.output, reference.output) << base;
+      const std::regex file_name("mutant_([0-9]{3})\\.txt");
+      std::size_t files = 0;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const std::string file = entry.path().filename().string();
+        std::smatch match;
+        ASSERT_TRUE(std::regex_match(file, match, file_name)) << file;
+        std::ifstream in(entry.path());
+        std::string header;
+        std::getline(in, header);
+        EXPECT_NE(header.find("post-mortem #" + match[1].str()),
+                  std::string::npos)
+            << file << ": " << header;
+        ++files;
+      }
+      EXPECT_GT(files, 0u) << base;
+      std::filesystem::remove_all(dir);
+
+      const auto verified = run_command(command + " --triage=verify");
+      EXPECT_EQ(verified.exit_code, 0) << base << ": " << verified.output;
+    }
+  }
+
+  std::string elf_;
+};
+
+TEST_F(CampaignCli, FaultsimStdoutIsInvariant) {
+  expect_invariant_stdout("s4e-faultsim",
+                          {"--mutants 100 --seed 2 --list",
+                           "--mutants 60 --seed 3 --blind --no-gpr --list",
+                           "--mutants 40 --seed 1 --harts 2 --list"});
+}
+
+TEST_F(CampaignCli, MutateStdoutIsInvariant) {
+  expect_invariant_stdout("s4e-mutate",
+                          {"--max 60 --survivors", "--all-sites --survivors"});
+}
+
+TEST_F(CampaignCli, TriageVerifyReportsPrunedMutants) {
+  const auto fault = run_stdout(tool("s4e-faultsim") + " " + elf_ +
+                                " --mutants 100 --seed 2 --triage=verify");
+  EXPECT_EQ(fault.exit_code, 0);
+  EXPECT_NE(fault.output.find("statically pruned"), std::string::npos)
+      << fault.output;
+  const auto mutate = run_stdout(tool("s4e-mutate") + " " + elf_ +
+                                 " --max 60 --triage=verify");
+  EXPECT_EQ(mutate.exit_code, 0);
+  EXPECT_NE(mutate.output.find("pruned (static)"), std::string::npos)
+      << mutate.output;
+}
+
+// Numeric campaign flags are strict: non-numeric text, trailing garbage and
+// negative values exit 2 with a "--X expects" message before any campaign
+// (or ELF load) starts, so the input path need not exist.
+struct MalformedFlag {
+  const char* args;
+  const char* message;
+};
+
+void expect_rejected(const std::string& name,
+                     const std::vector<MalformedFlag>& cases) {
+  for (const MalformedFlag& bad : cases) {
+    auto result = run_command(tool(name) + " missing.elf " + bad.args);
+    EXPECT_EQ(result.exit_code, 2) << name << " " << bad.args << ": "
+                                   << result.output;
+    EXPECT_NE(result.output.find(name + ": " + bad.message),
+              std::string::npos)
+        << name << " " << bad.args << ": " << result.output;
+  }
+}
+
+TEST(ToolFaultsim, RejectsMalformedCounts) {
+  expect_rejected(
+      "s4e-faultsim",
+      {{"--mutants abc", "--mutants expects 0..4294967295 (got abc)"},
+       {"--mutants 12x", "--mutants expects 0..4294967295 (got 12x)"},
+       {"--mutants -1", "--mutants expects 0..4294967295 (got -1)"},
+       {"--mutants 4294967296", "--mutants expects 0..4294967295"},
+       {"--seed abc", "--seed expects 0..1099511627776 (got abc)"},
+       {"--seed -3", "--seed expects 0..1099511627776 (got -3)"},
+       {"--jobs many", "--jobs expects 0..4096 (got many)"}});
+}
+
+TEST(ToolMutate, RejectsMalformedCounts) {
+  expect_rejected(
+      "s4e-mutate",
+      {{"--max abc", "--max expects 0..4294967295 (got abc)"},
+       {"--max 7q", "--max expects 0..4294967295 (got 7q)"},
+       {"--max -1", "--max expects 0..4294967295 (got -1)"},
+       {"--jobs -2", "--jobs expects 0..4096 (got -2)"}});
+}
+
+TEST(ToolCampaignd, RejectsMalformedCounts) {
+  expect_rejected(
+      "s4e-campaignd",
+      {{"--mutants abc", "--mutants expects 0..4294967295 (got abc)"},
+       {"--mutants -1", "--mutants expects 0..4294967295 (got -1)"},
+       {"--max 12x", "--max expects 0..4294967295 (got 12x)"},
+       {"--seed -1", "--seed expects 0..1099511627776 (got -1)"},
+       {"--worker-jobs x", "--worker-jobs expects 0..4096 (got x)"},
+       {"--max-retries -4", "--max-retries expects 0..4294967295 (got -4)"},
+       {"--status-port 70000", "--status-port expects 0..65535 (got 70000)"},
+       {"--status-port 8o", "--status-port expects 0..65535 (got 8o)"}});
 }
 
 TEST(ToolRun, UartInputReachesGuest) {

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "fleet/orchestrator.hpp"
@@ -91,14 +92,27 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.shards = static_cast<unsigned>(*shards);
-  options.worker_jobs = static_cast<unsigned>(
-      parse_integer(args.value("--worker-jobs", "1")).value_or(1));
-  options.seed = static_cast<u64>(
-      parse_integer(args.value("--seed", "1")).value_or(1));
-  options.mutants = static_cast<unsigned>(
-      parse_integer(args.value("--mutants", "200")).value_or(200));
-  options.max_mutants = static_cast<unsigned>(
-      parse_integer(args.value("--max", "0")).value_or(0));
+  constexpr u64 kUnsignedMax = std::numeric_limits<unsigned>::max();
+  const auto worker_jobs =
+      tools::count_option(args, "s4e-campaignd", "--worker-jobs", 1, 4096);
+  const auto seed =
+      tools::count_option(args, "s4e-campaignd", "--seed", 1, u64{1} << 40);
+  const auto mutants = tools::count_option(args, "s4e-campaignd",
+                                           "--mutants", 200, kUnsignedMax);
+  const auto max_mutants =
+      tools::count_option(args, "s4e-campaignd", "--max", 0, kUnsignedMax);
+  const auto status_port =
+      tools::count_option(args, "s4e-campaignd", "--status-port", 0, 65535);
+  const auto max_retries = tools::count_option(args, "s4e-campaignd",
+                                               "--max-retries", 3, kUnsignedMax);
+  if (!worker_jobs || !seed || !mutants || !max_mutants || !status_port ||
+      !max_retries) {
+    return 2;
+  }
+  options.worker_jobs = static_cast<unsigned>(*worker_jobs);
+  options.seed = *seed;
+  options.mutants = static_cast<unsigned>(*mutants);
+  options.max_mutants = static_cast<unsigned>(*max_mutants);
   options.worker_path = args.value(
       "--worker", sibling_tool(options.mode == fleet::Mode::kFault
                                    ? "s4e-faultsim"
@@ -106,15 +120,13 @@ int main(int argc, char** argv) {
   options.checkpoint_path = args.value("--checkpoint");
   options.tcp_transport = args.has("--tcp");
   if (args.has("--status-port")) {
-    options.status_port = static_cast<int>(
-        parse_integer(args.value("--status-port", "0")).value_or(0));
+    options.status_port = static_cast<int>(*status_port);
     options.on_status_port = [](int port) {
       std::fprintf(stderr, "[campaignd] status endpoint on 127.0.0.1:%d\n",
                    port);
     };
   }
-  options.max_retries = static_cast<unsigned>(
-      parse_integer(args.value("--max-retries", "3")).value_or(3));
+  options.max_retries = static_cast<unsigned>(*max_retries);
   options.test_kill_after_records = static_cast<unsigned>(
       parse_integer(args.value("--test-kill-after", "0")).value_or(0));
   options.test_fail_after_commits = static_cast<unsigned>(

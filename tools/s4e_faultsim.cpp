@@ -11,26 +11,13 @@
 // machine; GPR faults then target an RNG-chosen hart. Static triage is
 // forced off for N > 1 (single-stream reasoning is unsound under SMP).
 //
-// Observability flags never change the stdout report: metrics go to FILE,
-// post-mortems go to stderr (or one file per mutant under DIR).
-//
-// Fleet mode (s4e-campaignd workers): --shard I/N simulates only the
-// shard's contiguous slice of the full fault list; --emit-jsonl replaces
-// the human report with the fleet wire stream (stdout, or dialed back to
-// --result-port P over loopback TCP).
-#include <atomic>
-#include <chrono>
+// The flags shared with s4e-mutate (jobs, reuse, triage, observability,
+// fleet worker mode) are documented in tools/campaign_cli.hpp.
 #include <cstdio>
-#include <thread>
-#include <vector>
+#include <limits>
 
-#include "bench/bench_report.hpp"
-#include "dataflow/triage.hpp"
-#include "elf/elf32.hpp"
 #include "fault/fault.hpp"
-#include "fleet/records.hpp"
-#include "fleet/worker.hpp"
-#include "tools/tool_util.hpp"
+#include "tools/campaign_cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace s4e;
@@ -42,29 +29,13 @@ int main(int argc, char** argv) {
       "[--snapshot-stats] [--metrics-out FILE] [--post-mortem] "
       "[--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl] "
       "[--result-port P] [--test-stall-after N]\n";
-  tools::Args args(argc, argv,
-                   {"--harts", "--mutants", "--seed", "--jobs",
-                    "--metrics-out", "--post-mortem-dir", "--shard",
-                    "--result-port", "--test-stall-after"},
-                   {"--blind", "--no-gpr", "--no-mem", "--no-code", "--list",
-                    "--progress", "--reuse-machine", "--triage",
-                    "--snapshot-stats", "--post-mortem", "--emit-jsonl"});
-  if (const int code = tools::standard_flags(args, "s4e-faultsim", kUsage);
-      code >= 0) {
-    return code;
-  }
-  if (args.positional().empty()) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  auto program = elf::read_elf_file(args.positional()[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "s4e-faultsim: %s\n",
-                 program.error().to_string().c_str());
-    return 1;
-  }
-
+  tools::CampaignCli cli(argc, argv, "s4e-faultsim", "faultsim", kUsage,
+                         {"--harts", "--mutants", "--seed"},
+                         {"--blind", "--no-gpr", "--no-mem", "--no-code",
+                          "--list"});
+  const tools::Args& args = cli.args();
   fault::CampaignConfig config;
+  if (const int code = cli.parse(config); code >= 0) return code;
   if (args.has("--harts")) {
     const auto harts = parse_integer(args.value("--harts"));
     if (!harts.ok() || *harts < 1 ||
@@ -75,175 +46,49 @@ int main(int argc, char** argv) {
     }
     config.machine.num_harts = static_cast<unsigned>(*harts);
   }
-  config.mutant_count = static_cast<unsigned>(
-      parse_integer(args.value("--mutants", "200")).value_or(200));
-  config.seed =
-      static_cast<u64>(parse_integer(args.value("--seed", "1")).value_or(1));
+  const auto mutants =
+      cli.number("--mutants", 200, std::numeric_limits<unsigned>::max());
+  if (!mutants) return 2;
+  config.mutant_count = static_cast<unsigned>(*mutants);
+  const auto seed = cli.number("--seed", 1, u64{1} << 40);
+  if (!seed) return 2;
+  config.seed = *seed;
   config.coverage_directed = !args.has("--blind");
   config.gpr_faults = !args.has("--no-gpr");
   config.memory_faults = !args.has("--no-mem");
   config.code_faults = !args.has("--no-code");
-  // 0 = all hardware threads; --jobs 1 forces the serial path.
-  const auto jobs = parse_integer(args.value("--jobs", "0")).value_or(0);
-  if (jobs < 0 || jobs > 4096) {
-    std::fprintf(stderr, "s4e-faultsim: --jobs expects 0..4096 (got %s)\n",
-                 args.value("--jobs", "0").c_str());
-    return 2;
-  }
-  config.jobs = static_cast<unsigned>(jobs);
-  // Per-worker machine reuse is the default; --reuse-machine is accepted
-  // for symmetry and --reuse-machine=off forces a fresh VP per mutant.
-  config.reuse_machines = args.value("--reuse-machine") != "off";
-  // Static triage: --triage prunes statically-decided faults, =verify runs
-  // them anyway and errors on any static/dynamic mismatch.
-  if (args.has("--triage")) {
-    const auto mode = dataflow::parse_triage_mode(args.value("--triage"));
-    if (!mode) {
-      std::fprintf(stderr,
-                   "s4e-faultsim: --triage expects on|off|verify (got %s)\n",
-                   args.value("--triage").c_str());
-      return 2;
-    }
-    config.triage = *mode;
-  }
-  config.collect_metrics = args.has("--metrics-out");
-  config.post_mortem =
-      args.has("--post-mortem") || args.has("--post-mortem-dir");
-  if (args.has("--shard")) {
-    const auto shard = fleet::parse_shard(args.value("--shard"));
-    if (!shard) {
-      std::fprintf(stderr, "s4e-faultsim: --shard expects I/N (got %s)\n",
-                   args.value("--shard").c_str());
-      return 2;
-    }
-    config.shard_index = shard->first;
-    config.shard_count = shard->second;
-  }
 
-  fault::Campaign campaign(*program, config);
+  auto program = cli.load_program();
+  if (!program) return 1;
+  fault::Campaign campaign(std::move(*program), config);
+  auto result = cli.run(campaign, {"masked", "sdc", "crash", "hang"});
+  if (!result.ok()) return cli.fail(result.error());
 
-  // Optional status line fed by the campaign's atomic progress counters.
-  std::atomic<bool> campaign_done{false};
-  std::thread status_thread;
-  if (args.has("--progress")) {
-    status_thread = std::thread([&campaign, &campaign_done] {
-      while (!campaign_done.load(std::memory_order_acquire)) {
-        const auto snap = campaign.progress().snapshot();
-        if (snap.total != 0) {
-          std::fprintf(stderr,
-                       "\r[faultsim] %llu/%llu mutants  "
-                       "(masked %llu, sdc %llu, crash %llu, hang %llu)",
-                       static_cast<unsigned long long>(snap.completed),
-                       static_cast<unsigned long long>(snap.total),
-                       static_cast<unsigned long long>(snap.buckets[0]),
-                       static_cast<unsigned long long>(snap.buckets[1]),
-                       static_cast<unsigned long long>(snap.buckets[2]),
-                       static_cast<unsigned long long>(snap.buckets[3]));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      }
-      std::fprintf(stderr, "\n");
-    });
-  }
-
-  auto result = campaign.run();
-  campaign_done.store(true, std::memory_order_release);
-  if (status_thread.joinable()) status_thread.join();
-  if (!result.ok()) {
-    std::fprintf(stderr, "s4e-faultsim: %s\n",
-                 result.error().to_string().c_str());
-    return 1;
-  }
-
-  // Fleet worker mode: stream the shard instead of printing the report.
-  if (args.has("--emit-jsonl")) {
-    auto elf_bytes = fleet::read_file_bytes(args.positional()[0]);
-    if (!elf_bytes.ok()) {
-      std::fprintf(stderr, "s4e-faultsim: %s\n",
-                   elf_bytes.error().to_string().c_str());
-      return 1;
-    }
+  if (cli.emit_jsonl()) {
     fleet::MetaLine meta;
     meta.mode = fleet::Mode::kFault;
-    meta.shard = config.shard_index;
-    meta.shards = config.shard_count;
     meta.begin = result->shard_begin;
-    meta.end = result->shard_begin + result->mutants.size();
     meta.total = result->total_faults;
     meta.golden_exit = result->golden_exit_code;
     meta.golden_instructions = result->golden_instructions;
-    meta.fingerprint = fleet::campaign_fingerprint(
-        *elf_bytes, fleet::Mode::kFault, config.seed, config.mutant_count,
-        0, config.shard_count);
-    std::vector<std::string> lines;
-    lines.reserve(result->mutants.size());
-    for (std::size_t i = 0; i < result->mutants.size(); ++i) {
-      lines.push_back(
-          fleet::encode_record(result->mutants[i], result->shard_begin + i));
-    }
-    fleet::EmitOptions emit;
-    emit.result_port = static_cast<int>(
-        parse_integer(args.value("--result-port", "-1")).value_or(-1));
-    emit.stall_after = static_cast<unsigned>(
-        parse_integer(args.value("--test-stall-after", "0")).value_or(0));
-    if (auto status = fleet::emit_stream(meta, lines, emit); !status.ok()) {
-      std::fprintf(stderr, "s4e-faultsim: %s\n", status.to_string().c_str());
-      return 1;
-    }
-    return tools::finish_stdout("s4e-faultsim");
+    return cli.emit(meta, config.seed, config.mutant_count, 0,
+                    result->mutants);
   }
-
-  std::printf("%s", result->to_string().c_str());
-  if (args.has("--snapshot-stats")) {
-    // Debug aid on stderr so the stdout report stays byte-identical with
-    // and without the flag (and with and without machine reuse).
-    std::fprintf(stderr, "[faultsim] %s\n",
-                 result->snapshot_stats.to_string().c_str());
-  }
-
-  if (args.has("--list")) {
-    std::printf("\nper-mutant results:\n");
-    for (std::size_t i = 0; i < result->mutants.size(); ++i) {
-      const auto& mutant = result->mutants[i];
-      std::printf("  #%03zu  %-7s exit=%-4d  %s\n", i,
-                  std::string(fault::to_string(mutant.outcome)).c_str(),
-                  mutant.exit_code, mutant.spec.to_string().c_str());
-    }
-  }
-
-  // Post-mortems are emitted after the campaign, in submission order, so
-  // the output is deterministic regardless of worker scheduling — and on
-  // stderr (or per-mutant files), so stdout stays byte-identical.
-  if (config.post_mortem) {
-    const std::string dir = args.value("--post-mortem-dir");
-    for (std::size_t i = 0; i < result->mutants.size(); ++i) {
-      const auto& mutant = result->mutants[i];
-      if (mutant.post_mortem.empty()) continue;
-      const std::string header =
-          format("[faultsim] post-mortem #%03zu (%s) %s\n", i,
-                 std::string(fault::to_string(mutant.outcome)).c_str(),
-                 mutant.spec.to_string().c_str());
-      if (dir.empty()) {
-        std::fprintf(stderr, "%s%s", header.c_str(),
-                     mutant.post_mortem.c_str());
-      } else {
-        const std::string path = format("%s/mutant_%03zu.txt", dir.c_str(), i);
-        if (auto status =
-                tools::write_file(path, header + mutant.post_mortem);
-            !status.ok()) {
-          std::fprintf(stderr, "s4e-faultsim: %s\n",
-                       status.to_string().c_str());
-          return 1;
+  return cli.print_report(
+      *result, result->mutants,
+      [&] {
+        if (!args.has("--list")) return;
+        std::printf("\nper-mutant results:\n");
+        for (std::size_t i = 0; i < result->mutants.size(); ++i) {
+          const auto& mutant = result->mutants[i];
+          std::printf("  #%03zu  %-7s exit=%-4d  %s\n", i,
+                      std::string(fault::to_string(mutant.outcome)).c_str(),
+                      mutant.exit_code, mutant.spec.to_string().c_str());
         }
-      }
-    }
-  }
-
-  if (args.has("--metrics-out")) {
-    if (!bench::merge_bench_entry(args.value("--metrics-out"),
-                                  "s4e-faultsim", result->metrics_json)) {
-      return 1;  // merge_bench_entry already reported on stderr
-    }
-  }
-  return tools::finish_stdout("s4e-faultsim");
+      },
+      [](const fault::MutantResult& mutant) {
+        return format("(%s) %s",
+                      std::string(fault::to_string(mutant.outcome)).c_str(),
+                      mutant.spec.to_string().c_str());
+      });
 }

@@ -6,26 +6,13 @@
 //              [--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl]
 //              [--result-port P]
 //
-// Observability flags never change the stdout report: metrics go to FILE,
-// post-mortems go to stderr (or one file per mutant under DIR).
-//
-// Fleet mode (s4e-campaignd workers): --shard I/N runs only the shard's
-// contiguous slice of the full mutant enumeration; --emit-jsonl replaces
-// the human report with the fleet wire stream (stdout, or dialed back to
-// --result-port P over loopback TCP).
-#include <atomic>
-#include <chrono>
+// The flags shared with s4e-faultsim (jobs, reuse, triage, observability,
+// fleet worker mode) are documented in tools/campaign_cli.hpp.
 #include <cstdio>
-#include <thread>
-#include <vector>
+#include <limits>
 
-#include "bench/bench_report.hpp"
-#include "dataflow/triage.hpp"
-#include "elf/elf32.hpp"
-#include "fleet/records.hpp"
-#include "fleet/worker.hpp"
 #include "mutation/mutation.hpp"
-#include "tools/tool_util.hpp"
+#include "tools/campaign_cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace s4e;
@@ -36,193 +23,44 @@ int main(int argc, char** argv) {
       "[--metrics-out FILE] [--post-mortem] "
       "[--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl] "
       "[--result-port P] [--test-stall-after N]\n";
-  tools::Args args(argc, argv,
-                   {"--max", "--jobs", "--metrics-out", "--post-mortem-dir",
-                    "--shard", "--result-port", "--test-stall-after"},
-                   {"--all-sites", "--survivors", "--progress",
-                    "--reuse-machine", "--triage", "--snapshot-stats",
-                    "--post-mortem", "--emit-jsonl"});
-  if (const int code = tools::standard_flags(args, "s4e-mutate", kUsage);
-      code >= 0) {
-    return code;
-  }
-  if (args.positional().empty()) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  auto program = elf::read_elf_file(args.positional()[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "s4e-mutate: %s\n",
-                 program.error().to_string().c_str());
-    return 1;
-  }
-
+  tools::CampaignCli cli(argc, argv, "s4e-mutate", "mutate", kUsage, {"--max"},
+                         {"--all-sites", "--survivors"});
+  const tools::Args& args = cli.args();
   mutation::MutationConfig config;
+  if (const int code = cli.parse(config); code >= 0) return code;
   config.executed_only = !args.has("--all-sites");
-  config.max_mutants = static_cast<unsigned>(
-      parse_integer(args.value("--max", "0")).value_or(0));
-  // 0 = all hardware threads; --jobs 1 forces the serial path.
-  const auto jobs = parse_integer(args.value("--jobs", "0")).value_or(0);
-  if (jobs < 0 || jobs > 4096) {
-    std::fprintf(stderr, "s4e-mutate: --jobs expects 0..4096 (got %s)\n",
-                 args.value("--jobs", "0").c_str());
-    return 2;
-  }
-  config.jobs = static_cast<unsigned>(jobs);
-  // Per-worker machine reuse is the default; --reuse-machine is accepted
-  // for symmetry and --reuse-machine=off forces a fresh VP per mutant.
-  config.reuse_machines = args.value("--reuse-machine") != "off";
-  // Static triage: --triage prunes statically-proven-equivalent mutants,
-  // =verify runs them anyway and errors on any static/dynamic mismatch.
-  if (args.has("--triage")) {
-    const auto mode = dataflow::parse_triage_mode(args.value("--triage"));
-    if (!mode) {
-      std::fprintf(stderr,
-                   "s4e-mutate: --triage expects on|off|verify (got %s)\n",
-                   args.value("--triage").c_str());
-      return 2;
-    }
-    config.triage = *mode;
-  }
-  config.collect_metrics = args.has("--metrics-out");
-  config.post_mortem =
-      args.has("--post-mortem") || args.has("--post-mortem-dir");
-  if (args.has("--shard")) {
-    const auto shard = fleet::parse_shard(args.value("--shard"));
-    if (!shard) {
-      std::fprintf(stderr, "s4e-mutate: --shard expects I/N (got %s)\n",
-                   args.value("--shard").c_str());
-      return 2;
-    }
-    config.shard_index = shard->first;
-    config.shard_count = shard->second;
-  }
+  const auto max = cli.number("--max", 0, std::numeric_limits<unsigned>::max());
+  if (!max) return 2;
+  config.max_mutants = static_cast<unsigned>(*max);
 
-  mutation::MutationCampaign campaign(*program, config);
+  auto program = cli.load_program();
+  if (!program) return 1;
+  mutation::MutationCampaign campaign(std::move(*program), config);
+  auto score = cli.run(campaign, {"result", "crash", "hang", "survived"});
+  if (!score.ok()) return cli.fail(score.error());
 
-  // Optional status line fed by the campaign's atomic progress counters.
-  std::atomic<bool> campaign_done{false};
-  std::thread status_thread;
-  if (args.has("--progress")) {
-    status_thread = std::thread([&campaign, &campaign_done] {
-      while (!campaign_done.load(std::memory_order_acquire)) {
-        const auto snap = campaign.progress().snapshot();
-        if (snap.total != 0) {
-          std::fprintf(
-              stderr,
-              "\r[mutate] %llu/%llu mutants  "
-              "(result %llu, crash %llu, hang %llu, survived %llu)",
-              static_cast<unsigned long long>(snap.completed),
-              static_cast<unsigned long long>(snap.total),
-              static_cast<unsigned long long>(snap.buckets[0]),
-              static_cast<unsigned long long>(snap.buckets[1]),
-              static_cast<unsigned long long>(snap.buckets[2]),
-              static_cast<unsigned long long>(snap.buckets[3]));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      }
-      std::fprintf(stderr, "\n");
-    });
-  }
-
-  auto score = campaign.run();
-  campaign_done.store(true, std::memory_order_release);
-  if (status_thread.joinable()) status_thread.join();
-  if (!score.ok()) {
-    std::fprintf(stderr, "s4e-mutate: %s\n",
-                 score.error().to_string().c_str());
-    return 1;
-  }
-
-  // Fleet worker mode: stream the shard instead of printing the report.
-  if (args.has("--emit-jsonl")) {
-    auto elf_bytes = fleet::read_file_bytes(args.positional()[0]);
-    if (!elf_bytes.ok()) {
-      std::fprintf(stderr, "s4e-mutate: %s\n",
-                   elf_bytes.error().to_string().c_str());
-      return 1;
-    }
+  if (cli.emit_jsonl()) {
     fleet::MetaLine meta;
     meta.mode = fleet::Mode::kMutation;
-    meta.shard = config.shard_index;
-    meta.shards = config.shard_count;
     meta.begin = score->shard_begin;
-    meta.end = score->shard_begin + score->results.size();
     meta.total = score->total_mutants;
-    meta.golden_exit = 0;
-    meta.golden_instructions = 0;
-    meta.fingerprint = fleet::campaign_fingerprint(
-        *elf_bytes, fleet::Mode::kMutation, 0, 0, config.max_mutants,
-        config.shard_count);
-    std::vector<std::string> lines;
-    lines.reserve(score->results.size());
-    for (std::size_t i = 0; i < score->results.size(); ++i) {
-      lines.push_back(
-          fleet::encode_record(score->results[i], score->shard_begin + i));
-    }
-    fleet::EmitOptions emit;
-    emit.result_port = static_cast<int>(
-        parse_integer(args.value("--result-port", "-1")).value_or(-1));
-    emit.stall_after = static_cast<unsigned>(
-        parse_integer(args.value("--test-stall-after", "0")).value_or(0));
-    if (auto status = fleet::emit_stream(meta, lines, emit); !status.ok()) {
-      std::fprintf(stderr, "s4e-mutate: %s\n", status.to_string().c_str());
-      return 1;
-    }
-    return tools::finish_stdout("s4e-mutate");
+    return cli.emit(meta, 0, 0, config.max_mutants, score->results);
   }
-
-  std::printf("%s", score->to_string().c_str());
-  if (args.has("--snapshot-stats")) {
-    // Debug aid on stderr so the stdout report stays byte-identical with
-    // and without the flag (and with and without machine reuse).
-    std::fprintf(stderr, "[mutate] %s\n",
-                 score->snapshot_stats.to_string().c_str());
-  }
-
-  if (args.has("--survivors")) {
-    std::printf("\nsurviving mutants:\n");
-    for (const auto& result : score->results) {
-      if (result.verdict != mutation::Verdict::kSurvived) continue;
-      std::printf("  0x%08x  %-14s %s\n", result.mutant.address,
-                  std::string(mutation::to_string(result.mutant.op)).c_str(),
-                  result.mutant.description.c_str());
-    }
-  }
-
-  // Post-mortems are emitted after the campaign, in submission order, so
-  // the output is deterministic regardless of worker scheduling — and on
-  // stderr (or per-mutant files), so stdout stays byte-identical.
-  if (config.post_mortem) {
-    const std::string dir = args.value("--post-mortem-dir");
-    for (std::size_t i = 0; i < score->results.size(); ++i) {
-      const auto& result = score->results[i];
-      if (result.post_mortem.empty()) continue;
-      const std::string header =
-          format("[mutate] post-mortem #%03zu (%s) 0x%08x %s\n", i,
-                 std::string(mutation::to_string(result.verdict)).c_str(),
-                 result.mutant.address, result.mutant.description.c_str());
-      if (dir.empty()) {
-        std::fprintf(stderr, "%s%s", header.c_str(),
-                     result.post_mortem.c_str());
-      } else {
-        const std::string path = format("%s/mutant_%03zu.txt", dir.c_str(), i);
-        if (auto status =
-                tools::write_file(path, header + result.post_mortem);
-            !status.ok()) {
-          std::fprintf(stderr, "s4e-mutate: %s\n",
-                       status.to_string().c_str());
-          return 1;
+  return cli.print_report(
+      *score, score->results,
+      [&] {
+        if (!args.has("--survivors")) return;
+        std::printf("\nsurviving mutants:\n");
+        for (const auto& result : score->results) {
+          if (result.verdict != mutation::Verdict::kSurvived) continue;
+          std::printf("  0x%08x  %-14s %s\n", result.mutant.address,
+                      std::string(mutation::to_string(result.mutant.op)).c_str(),
+                      result.mutant.description.c_str());
         }
-      }
-    }
-  }
-
-  if (args.has("--metrics-out")) {
-    if (!bench::merge_bench_entry(args.value("--metrics-out"), "s4e-mutate",
-                                  score->metrics_json)) {
-      return 1;  // merge_bench_entry already reported on stderr
-    }
-  }
-  return tools::finish_stdout("s4e-mutate");
+      },
+      [](const mutation::MutantResult& result) {
+        return format("(%s) 0x%08x %s",
+                      std::string(mutation::to_string(result.verdict)).c_str(),
+                      result.mutant.address, result.mutant.description.c_str());
+      });
 }

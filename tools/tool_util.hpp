@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,25 @@ inline int standard_flags(const Args& args, const char* tool,
     return finish_stdout(tool);
   }
   return -1;
+}
+
+// Strict non-negative integer option: the value of `key` (`fallback` when
+// the option is absent). Non-numeric text, trailing garbage, a negative
+// value or one above `max` prints "<tool>: <key> expects 0..<max> (got
+// <text>)" on stderr and yields nullopt; callers exit 2.
+inline std::optional<u64> count_option(const Args& args, const char* tool,
+                                       const std::string& key, u64 fallback,
+                                       u64 max) {
+  if (!args.has(key)) return fallback;
+  const std::string text = args.value(key);
+  const auto value = parse_integer(text);
+  if (!value.ok() || *value < 0 || static_cast<u64>(*value) > max) {
+    std::fprintf(stderr, "%s: %s expects 0..%llu (got %s)\n", tool,
+                 key.c_str(), static_cast<unsigned long long>(max),
+                 text.c_str());
+    return std::nullopt;
+  }
+  return static_cast<u64>(*value);
 }
 
 inline Result<std::string> read_file(const std::string& path) {
