@@ -115,6 +115,66 @@ TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
   EXPECT_EQ(completed.load(), 11);
 }
 
+// run_affine is the executor's one entry point; the CampaignExecutor cases
+// pin its index contract independent of lanes, the CampaignExecutorAffine
+// cases below pin the lane contract.
+TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
+  CampaignExecutor executor(8);
+  EXPECT_EQ(executor.jobs(), 8u);
+  std::vector<std::atomic<int>> slots(500);
+  executor.run_affine(slots.size(),
+                      [&](unsigned, std::size_t i) { ++slots[i]; });
+  for (const auto& slot : slots) {
+    EXPECT_EQ(slot.load(), 1);
+  }
+  // Fewer jobs than lanes: only min(jobs, count) lanes start, and each
+  // index still runs exactly once.
+  std::vector<std::atomic<int>> few(3);
+  executor.run_affine(few.size(), [&](unsigned, std::size_t i) { ++few[i]; });
+  for (const auto& slot : few) {
+    EXPECT_EQ(slot.load(), 1);
+  }
+  // An empty campaign runs nothing.
+  bool ran = false;
+  executor.run_affine(0, [&](unsigned, std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
+TEST(CampaignExecutor, SingleJobRunsInlineInSubmissionOrder) {
+  // The executor is reusable: a second run at jobs=1 is again inline and in
+  // submission order, continuing where the caller's state left off.
+  CampaignExecutor executor(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  for (int round = 0; round < 2; ++round) {
+    executor.run_affine(10, [&](unsigned, std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+  }
+  ASSERT_EQ(order.size(), 20u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i % 10);
+  }
+}
+
+TEST(CampaignExecutor, PropagatesJobException) {
+  // Inline at jobs=1 the exception leaves like a serial loop's: at the
+  // throwing index, with the later indices never run.
+  CampaignExecutor executor(1);
+  std::vector<std::size_t> ran;
+  EXPECT_THROW(executor.run_affine(20,
+                                   [&](unsigned, std::size_t i) {
+                                     ran.push_back(i);
+                                     if (i == 7) {
+                                       throw std::runtime_error("job 7");
+                                     }
+                                   }),
+               std::runtime_error);
+  ASSERT_EQ(ran.size(), 8u);
+  EXPECT_EQ(ran.back(), 7u);
+}
+
 TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {
   CampaignExecutor executor(4);
   std::vector<std::atomic<int>> slots(300);
