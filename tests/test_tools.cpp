@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -557,6 +558,110 @@ TEST(ToolCampaignd, RejectsMalformedCounts) {
        {"--max-retries -4", "--max-retries expects 0..4294967295 (got -4)"},
        {"--status-port 70000", "--status-port expects 0..65535 (got 70000)"},
        {"--status-port 8o", "--status-port expects 0..65535 (got 8o)"}});
+}
+
+// ---------------------------------------------------------------------------
+// Capture once, replay many: s4e-qta --record / s4e-run --trace-bin write the
+// binary trace, s4e-qta --replay evaluates it under the timing matrix.
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+class QtaReplay : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    elf_ = temp_path("replay_crc32.elf");
+    cfg_ = temp_path("replay_crc32.qtacfg");
+    trace_ = temp_path("replay_crc32.bin");
+    auto assembled =
+        run_command(tool("s4e-as") + " --workload crc32 -o " + elf_);
+    ASSERT_EQ(assembled.exit_code, 0) << assembled.output;
+    auto wcet =
+        run_command(tool("s4e-wcet") + " " + elf_ + " --emit-cfg " + cfg_);
+    ASSERT_EQ(wcet.exit_code, 0) << wcet.output;
+    auto recorded = run_command(tool("s4e-qta") + " " + elf_ + " " + cfg_ +
+                                " --record " + trace_);
+    ASSERT_EQ(recorded.exit_code, 0) << recorded.output;
+    ASSERT_NE(recorded.output.find("record: wrote"), std::string::npos)
+        << recorded.output;
+  }
+  void TearDown() override {
+    for (const std::string& path : {elf_, cfg_, trace_}) {
+      std::remove(path.c_str());
+    }
+  }
+
+  std::string replay(const std::string& args) const {
+    return tool("s4e-qta") + " " + elf_ + " --replay " + trace_ + " " + args;
+  }
+
+  std::string elf_, cfg_, trace_;
+};
+
+TEST_F(QtaReplay, AllModelsStdoutIsInvariantAcrossJobs) {
+  const auto serial = run_stdout(replay("--models all --jobs 1"));
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  EXPECT_NE(serial.output.find("\nbase "), std::string::npos) << serial.output;
+  EXPECT_NE(serial.output.find("icache+bpred+slowram+deeppipe+slowmath"),
+            std::string::npos)
+      << serial.output;
+  const auto parallel = run_stdout(replay("--models all --jobs 3"));
+  EXPECT_EQ(parallel.exit_code, 0);
+  EXPECT_EQ(parallel.output, serial.output);
+}
+
+TEST_F(QtaReplay, BaselineModelPrintsOneRow) {
+  const auto result = run_stdout(replay("--models baseline"));
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  // The summary line, the table header and one row.
+  std::istringstream lines(result.output);
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 3u) << result.output;
+  EXPECT_EQ(rows[0].rfind("replay: ", 0), 0u) << rows[0];
+  EXPECT_EQ(rows[1].rfind("config ", 0), 0u) << rows[1];
+  EXPECT_EQ(rows[2].rfind("base ", 0), 0u) << rows[2];
+  EXPECT_NE(rows[2].find(" ok"), std::string::npos) << rows[2];
+}
+
+TEST_F(QtaReplay, RejectsTraceOfAnotherProgram) {
+  const std::string other = temp_path("replay_fir.elf");
+  ASSERT_EQ(run_command(tool("s4e-as") + " --workload fir -o " + other)
+                .exit_code,
+            0);
+  const auto result = run_command(tool("s4e-qta") + " " + other +
+                                  " --replay " + trace_ + " --models all");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("different workload"), std::string::npos)
+      << result.output;
+  std::remove(other.c_str());
+}
+
+TEST_F(QtaReplay, RejectsTruncatedTrace) {
+  const std::string bytes = slurp(trace_);
+  ASSERT_GT(bytes.size(), 64u);
+  {
+    std::ofstream out(trace_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
+  const auto result = run_command(replay("--models all"));
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+}
+
+TEST_F(QtaReplay, RecordEqualsRunTraceBin) {
+  const std::string run_trace = temp_path("replay_run.bin");
+  const auto run =
+      run_command(tool("s4e-run") + " " + elf_ + " --trace-bin " + run_trace);
+  ASSERT_NE(run.output.find("trace-bin wrote"), std::string::npos)
+      << run.output;
+  const std::string recorded = slurp(trace_);
+  EXPECT_FALSE(recorded.empty());
+  EXPECT_TRUE(recorded == slurp(run_trace))
+      << "s4e-qta --record and s4e-run --trace-bin traces differ";
+  std::remove(run_trace.c_str());
 }
 
 TEST(ToolRun, UartInputReachesGuest) {
