@@ -21,7 +21,7 @@
 
 namespace {
 
-// Byte-for-byte equality of two campaign results (the executor's
+// Byte-for-byte equality of two campaign results (the campaign driver's
 // determinism guarantee: parallel == serial, including the FP sum).
 bool identical_results(const s4e::fault::CampaignResult& a,
                        const s4e::fault::CampaignResult& b) {

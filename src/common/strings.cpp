@@ -129,16 +129,6 @@ std::string to_lower(std::string_view text) {
   return out;
 }
 
-std::string pad_left(const std::string& value, std::size_t width) {
-  if (value.size() >= width) return value;
-  return std::string(width - value.size(), ' ') + value;
-}
-
-std::string pad_right(const std::string& value, std::size_t width) {
-  if (value.size() >= width) return value;
-  return value + std::string(width - value.size(), ' ');
-}
-
 std::size_t edit_distance(std::string_view a, std::string_view b) {
   // Single-row dynamic program; flag names are short, so O(|a|*|b|) with a
   // |b|+1 row is plenty.

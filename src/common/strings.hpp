@@ -33,10 +33,6 @@ bool ends_with(std::string_view text, std::string_view suffix);
 // Lower-case copy (ASCII only; mnemonics and directives).
 std::string to_lower(std::string_view text);
 
-// Render `value` right-aligned in a field of `width` (report tables).
-std::string pad_left(const std::string& value, std::size_t width);
-std::string pad_right(const std::string& value, std::size_t width);
-
 // Levenshtein edit distance (insert/delete/substitute, unit costs) — the
 // "did you mean --X" suggestion metric of the CLI argument parser.
 std::size_t edit_distance(std::string_view a, std::string_view b);

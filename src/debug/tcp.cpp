@@ -23,7 +23,7 @@ int wait_readable(int fd, int timeout_ms) {
     const int n = ::poll(&pfd, 1, timeout_ms);
     if (n >= 0) return n > 0 ? 1 : 0;
     if (errno != EINTR) return -1;
-    // EINTR: retry with the full timeout again — fleet/debug deadlines are
+    // EINTR: retry with the full timeout again — accept deadlines are
     // coarse liveness bounds, not precise timers.
   }
 }
@@ -43,42 +43,6 @@ std::string TcpChannel::read_blocking() {
     if (errno == EINTR) continue;
     return {};  // connection error → treat as closed
   }
-}
-
-std::string TcpChannel::read_for(int timeout_ms, bool& timed_out) {
-  timed_out = false;
-  const int ready = wait_readable(fd_, timeout_ms);
-  if (ready == 0) {
-    timed_out = true;
-    return {};
-  }
-  if (ready < 0) return {};  // poll error → treat as closed
-  return read_blocking();    // data or EOF is pending; recv cannot block long
-}
-
-std::unique_ptr<TcpChannel> TcpChannel::connect_loopback(u16 port,
-                                                         std::string& error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    error = std::string("socket: ") + std::strerror(errno);
-    return nullptr;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } while (rc < 0 && errno == EINTR);
-  if (rc < 0) {
-    error = std::string("connect: ") + std::strerror(errno);
-    ::close(fd);
-    return nullptr;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return std::make_unique<TcpChannel>(fd);
 }
 
 std::string TcpChannel::read_poll() {

@@ -25,18 +25,6 @@ class TcpChannel final : public ByteChannel {
   std::string read_poll() override;
   bool write_all(std::string_view bytes) override;
 
-  // Deadline read: block up to `timeout_ms` (-1 = forever) for data. An
-  // empty return with `timed_out` set means the deadline passed with the
-  // peer still connected; empty without it means close/error — so a
-  // vanished peer (killed worker, detached client) can never hang the
-  // owning loop forever.
-  std::string read_for(int timeout_ms, bool& timed_out);
-
-  // Connect to 127.0.0.1:port (a fleet worker dialing back to its
-  // orchestrator). Null with a message in `error` on failure.
-  static std::unique_ptr<TcpChannel> connect_loopback(u16 port,
-                                                      std::string& error);
-
   int fd() const noexcept { return fd_; }
 
  private:

@@ -40,6 +40,7 @@
 // bit-identical for any `jobs` count and either machine policy.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,13 +50,64 @@
 #include "common/status.hpp"
 #include "common/strings.hpp"
 #include "dataflow/triage.hpp"
-#include "exec/campaign_executor.hpp"
+#include "exec/parallel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "vp/machine.hpp"
 #include "vp/runner.hpp"
 
 namespace s4e::exec {
+
+// Live counters for an in-flight campaign, readable from any thread: lanes
+// bump atomic counters (jobs done + an 8-bucket outcome histogram), and a
+// monitor thread (--progress) takes consistent-enough snapshots without
+// perturbing them.
+class CampaignProgress {
+ public:
+  static constexpr unsigned kBuckets = 8;
+
+  struct Snapshot {
+    u64 total = 0;
+    u64 completed = 0;
+    u64 buckets[kBuckets] = {};
+
+    double fraction() const noexcept {
+      return total == 0 ? 0.0
+                        : static_cast<double>(completed) /
+                              static_cast<double>(total);
+    }
+  };
+
+  void begin(u64 total) noexcept {
+    total_.store(total, std::memory_order_relaxed);
+    completed_.store(0, std::memory_order_relaxed);
+    for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  }
+
+  // Called by lanes once per finished job; `bucket` indexes the caller's
+  // outcome histogram (fault Outcome / mutation Verdict).
+  void record(unsigned bucket) noexcept {
+    if (bucket < kBuckets) {
+      buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+    }
+    completed_.fetch_add(1, std::memory_order_release);
+  }
+
+  Snapshot snapshot() const noexcept {
+    Snapshot snap;
+    snap.completed = completed_.load(std::memory_order_acquire);
+    snap.total = total_.load(std::memory_order_relaxed);
+    for (unsigned i = 0; i < kBuckets; ++i) {
+      snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    }
+    return snap;
+  }
+
+ private:
+  std::atomic<u64> total_{0};
+  std::atomic<u64> completed_{0};
+  std::atomic<u64> buckets_[kBuckets]{};
+};
 
 // Knobs both campaign engines share (fault::CampaignConfig and
 // mutation::MutationConfig inherit them).
@@ -141,13 +193,13 @@ Result<typename Engine::Report> run_campaign(Engine& engine,
   std::vector<Mutant> slots(count);
   std::vector<std::optional<Error>> errors(count);
   progress.begin(count);
-  CampaignExecutor executor(options.jobs);
+  const unsigned lanes = resolve_jobs(options.jobs);
   // Telemetry shards are per worker lane (lock-free: each lane writes only
   // its own shard) and fold deterministically after the barrier.
   std::unique_ptr<obs::CampaignTelemetry> telemetry;
   if (options.collect_metrics) {
     telemetry = std::make_unique<obs::CampaignTelemetry>(
-        engine.metric_buckets(), executor.jobs());
+        engine.metric_buckets(), lanes);
     telemetry->set_campaign(count, engine.golden_instructions(),
                             mutant_config.max_instructions);
   }
@@ -157,7 +209,7 @@ Result<typename Engine::Report> run_campaign(Engine& engine,
   const vp::WorkerVm::Policy policy = options.reuse_machines
                                           ? vp::WorkerVm::Policy::kRestore
                                           : vp::WorkerVm::Policy::kRebuild;
-  std::vector<std::unique_ptr<vp::WorkerVm>> vms(executor.jobs());
+  std::vector<std::unique_ptr<vp::WorkerVm>> vms(lanes);
   // Mutant `global` on lane `worker`'s machine, or its synthesized result
   // when triage decided it statically.
   const auto run_one = [&](unsigned worker,
@@ -207,7 +259,7 @@ Result<typename Engine::Report> run_campaign(Engine& engine,
     return mutant;
   };
 
-  executor.run_affine(count, [&](unsigned worker, std::size_t index) {
+  parallel_for(options.jobs, count, [&](unsigned worker, std::size_t index) {
     auto mutant = run_one(worker, static_cast<std::size_t>(begin) + index);
     if (!mutant.ok()) {
       errors[index] = mutant.error();

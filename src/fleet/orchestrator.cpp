@@ -31,29 +31,14 @@ struct WorkerProc {
   pid_t pid = -1;
   unsigned shard = 0;
   unsigned spawn_index = 0;
-  // Stream fd: pipe read end, or the accepted socket once a TCP worker has
-  // dialed back and identified itself (-1 until then).
-  int fd = -1;
-  std::unique_ptr<debug::TcpChannel> channel;  // owns fd for TCP transport
+  int fd = -1;  // read end of the worker's stdout pipe
   std::string buffer;
   bool meta_seen = false;
   bool done_seen = false;
   bool stream_closed = false;
   bool exited = false;
   int wait_status = 0;
-  // TCP transport: a worker can exit before its dial-in is accepted and
-  // identified — the stream survives in the socket buffers, so the exit
-  // alone is not a failure. This counts down poll ticks of patience for
-  // the connection to show up before the shard is declared dead.
-  int dial_grace = -1;
   CompletedShard block;
-};
-
-// A dialed-in TCP connection that has not yet sent its meta line (we don't
-// know which shard it belongs to until it does).
-struct PendingChannel {
-  std::unique_ptr<debug::TcpChannel> channel;
-  std::string buffer;
 };
 
 // Kills and reaps every still-running worker on scope exit, so error
@@ -72,7 +57,7 @@ struct ReapGuard {
 
 std::vector<std::string> worker_argv(const FleetOptions& options,
                                      unsigned shard, unsigned shards,
-                                     int result_port, unsigned stall_after) {
+                                     unsigned stall_after) {
   std::vector<std::string> argv;
   argv.push_back(options.worker_path);
   argv.push_back(options.elf_path);
@@ -91,10 +76,6 @@ std::vector<std::string> worker_argv(const FleetOptions& options,
     argv.push_back("--max");
     argv.push_back(format("%u", options.max_mutants));
   }
-  if (result_port >= 0) {
-    argv.push_back("--result-port");
-    argv.push_back(format("%d", result_port));
-  }
   if (stall_after != 0) {
     argv.push_back("--test-stall-after");
     argv.push_back(format("%u", stall_after));
@@ -102,22 +83,18 @@ std::vector<std::string> worker_argv(const FleetOptions& options,
   return argv;
 }
 
-// fork/exec one worker. Pipe transport: the child's stdout becomes the
-// stream and `out_fd` receives the read end. TCP transport (result_port
-// >= 0): the child dials back and out_fd stays -1.
+// fork/exec one worker; its stdout becomes the stream and `out_fd`
+// receives the pipe's read end.
 Result<pid_t> spawn_worker(const FleetOptions& options, unsigned shard,
-                           unsigned shards, int result_port,
-                           unsigned stall_after, int& out_fd) {
-  out_fd = -1;
+                           unsigned shards, unsigned stall_after,
+                           int& out_fd) {
   int fds[2] = {-1, -1};
-  const bool use_pipe = result_port < 0;
-  if (use_pipe && ::pipe(fds) != 0) {
+  if (::pipe(fds) != 0) {
     return Error(ErrorCode::kIoError,
                  format("fleet: pipe failed: %s", std::strerror(errno)));
   }
 
-  const auto argv_strings =
-      worker_argv(options, shard, shards, result_port, stall_after);
+  const auto argv_strings = worker_argv(options, shard, shards, stall_after);
   std::vector<char*> argv;
   argv.reserve(argv_strings.size() + 1);
   for (const std::string& arg : argv_strings) {
@@ -127,28 +104,22 @@ Result<pid_t> spawn_worker(const FleetOptions& options, unsigned shard,
 
   const pid_t pid = ::fork();
   if (pid < 0) {
-    if (use_pipe) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-    }
+    ::close(fds[0]);
+    ::close(fds[1]);
     return Error(ErrorCode::kIoError,
                  format("fleet: fork failed: %s", std::strerror(errno)));
   }
   if (pid == 0) {
-    if (use_pipe) {
-      ::dup2(fds[1], STDOUT_FILENO);
-      ::close(fds[0]);
-      ::close(fds[1]);
-    }
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
     ::execv(argv[0], argv.data());
     std::fprintf(stderr, "fleet: exec %s failed: %s\n", argv[0],
                  std::strerror(errno));
     ::_exit(127);
   }
-  if (use_pipe) {
-    ::close(fds[1]);
-    out_fd = fds[0];
-  }
+  ::close(fds[1]);
+  out_fd = fds[0];
   return pid;
 }
 
@@ -342,7 +313,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
     metrics.add(m_recovered, committed.size());
   }
 
-  // --- Listeners.
+  // --- Status endpoint.
   std::unique_ptr<debug::TcpListener> status_listener;
   if (options.status_port >= 0) {
     std::string error;
@@ -356,16 +327,6 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       options.on_status_port(status_listener->port());
     }
   }
-  std::unique_ptr<debug::TcpListener> result_listener;
-  if (options.tcp_transport) {
-    std::string error;
-    result_listener = debug::TcpListener::listen_loopback(0, error);
-    if (result_listener == nullptr) {
-      return Error(ErrorCode::kIoError, "fleet: result listener: " + error);
-    }
-  }
-  const int result_port =
-      result_listener != nullptr ? result_listener->port() : -1;
 
   // --- Scheduling state.
   std::deque<unsigned> pending;
@@ -374,7 +335,6 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
   }
   std::vector<unsigned> retries(shards, 0);
   std::vector<WorkerProc> workers;
-  std::vector<PendingChannel> dialing;
   ReapGuard guard{&workers};
   unsigned spawned_total = 0;
   unsigned live_commits = 0;
@@ -401,7 +361,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
               ? options.test_kill_after_records
               : 0;
       int fd = -1;
-      auto pid = spawn_worker(options, shard, shards, result_port, stall, fd);
+      auto pid = spawn_worker(options, shard, shards, stall, fd);
       if (!pid.ok()) return pid.error();
       WorkerProc worker;
       worker.pid = *pid;
@@ -413,27 +373,18 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       metrics.add(m_spawned, 1);
     }
 
-    // Poll every live stream plus the listeners.
+    // Poll every live stream plus the status endpoint.
     std::vector<pollfd> fds;
-    std::vector<int> owner;  // workers index, or -2 dialing[i], -3/-4 listeners
+    std::vector<std::size_t> owner;  // workers index of each stream slot
     for (std::size_t i = 0; i < workers.size(); ++i) {
       if (workers[i].fd >= 0 && !workers[i].stream_closed) {
         fds.push_back({workers[i].fd, POLLIN, 0});
-        owner.push_back(static_cast<int>(i));
+        owner.push_back(i);
       }
     }
-    const std::size_t dial_base = fds.size();
-    for (const PendingChannel& channel : dialing) {
-      fds.push_back({channel.channel->fd(), POLLIN, 0});
-      owner.push_back(-2);
-    }
-    if (result_listener != nullptr) {
-      fds.push_back({result_listener->fd(), POLLIN, 0});
-      owner.push_back(-3);
-    }
+    const std::size_t streams = fds.size();
     if (status_listener != nullptr) {
       fds.push_back({status_listener->fd(), POLLIN, 0});
-      owner.push_back(-4);
     }
     if (!fds.empty()) {
       const int n = ::poll(fds.data(), fds.size(), kPollIntervalMs);
@@ -453,24 +404,10 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       }
     }
 
-    // New TCP dial-ins: park until their meta line identifies the shard.
-    if (result_listener != nullptr) {
-      const std::size_t slot =
-          fds.size() - (status_listener != nullptr ? 2 : 1);
-      if ((fds[slot].revents & POLLIN) != 0) {
-        std::string error;
-        bool timed_out = false;
-        auto channel = result_listener->accept_one_for(0, error, timed_out);
-        if (channel != nullptr) {
-          dialing.push_back(PendingChannel{std::move(channel), {}});
-        }
-      }
-    }
-
     // Drain readable worker streams.
-    for (std::size_t slot = 0; slot < dial_base; ++slot) {
+    for (std::size_t slot = 0; slot < streams; ++slot) {
       if ((fds[slot].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerProc& worker = workers[static_cast<std::size_t>(owner[slot])];
+      WorkerProc& worker = workers[owner[slot]];
       char chunk[65536];
       const ssize_t n = ::read(worker.fd, chunk, sizeof chunk);
       if (n > 0) {
@@ -489,63 +426,8 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
         }
       } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
         worker.stream_closed = true;
-        if (worker.channel == nullptr) {
-          ::close(worker.fd);
-        }
+        ::close(worker.fd);
         worker.fd = -1;
-      }
-    }
-
-    // Attach identified dial-ins to their worker.
-    for (std::size_t i = 0; i < dialing.size();) {
-      PendingChannel& pending_channel = dialing[i];
-      char chunk[65536];
-      bool identified = false;
-      bool drop = false;
-      pollfd probe{pending_channel.channel->fd(), POLLIN, 0};
-      if (::poll(&probe, 1, 0) > 0) {
-        const ssize_t n =
-            ::read(pending_channel.channel->fd(), chunk, sizeof chunk);
-        if (n > 0) {
-          pending_channel.buffer.append(chunk, static_cast<std::size_t>(n));
-        } else if (n == 0) {
-          drop = true;  // connected and vanished before identifying
-        }
-      }
-      const auto newline = pending_channel.buffer.find('\n');
-      if (!drop && newline != std::string::npos) {
-        const std::string line = pending_channel.buffer.substr(0, newline);
-        auto parsed = parse_line(line, options.mode);
-        if (parsed.ok() && parsed->meta.has_value()) {
-          for (WorkerProc& worker : workers) {
-            // An exited-but-unidentified worker is still claimable: its
-            // stream lives on in the socket until the grace window ends.
-            if (worker.shard == parsed->meta->shard && worker.fd < 0 &&
-                !worker.stream_closed && worker.channel == nullptr) {
-              worker.channel = std::move(pending_channel.channel);
-              worker.fd = worker.channel->fd();
-              worker.buffer = std::move(pending_channel.buffer);
-              // The parked buffer may already hold the whole stream (the
-              // worker can finish before it is identified); consume it now
-              // — the socket might never signal POLLIN with fresh data
-              // again, only EOF.
-              const u64 before = records_seen;
-              S4E_TRY_STATUS(consume_lines(worker, options.mode,
-                                           fingerprint, shards, golden,
-                                           records_seen));
-              out.stats.records += records_seen - before;
-              metrics.add(m_records, records_seen - before);
-              identified = true;
-              break;
-            }
-          }
-        }
-        if (!identified) drop = true;  // stray or malformed dial-in
-      }
-      if (identified || drop) {
-        dialing.erase(dialing.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
       }
     }
 
@@ -557,21 +439,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       if (::waitpid(worker.pid, &status, WNOHANG) == worker.pid) {
         worker.exited = true;
         worker.wait_status = status;
-        // TCP worker gone before its dial-in was identified: give the
-        // connection a bounded window to arrive (the stream outlives the
-        // process in the socket buffers). A worker that died pre-connect
-        // burns the window and is then requeued.
-        if (worker.fd < 0 && worker.channel == nullptr) {
-          worker.dial_grace = 2000 / kPollIntervalMs;
-        }
       }
-    }
-    for (WorkerProc& worker : workers) {
-      if (worker.dial_grace < 0 || worker.fd >= 0 ||
-          worker.channel != nullptr) {
-        continue;
-      }
-      if (worker.dial_grace-- == 0) worker.stream_closed = true;
     }
 
     // Settle workers whose stream and process have both finished.

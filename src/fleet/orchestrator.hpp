@@ -1,7 +1,7 @@
 // Campaign fleet orchestrator (the engine behind s4e-campaignd): shards a
 // fault or mutation campaign across worker *processes*, streams their
-// JSONL results back over pipes or loopback TCP, and merges them with the
-// same slot-array discipline the in-process executor uses.
+// JSONL results back over stdout pipes, and merges them with the same
+// slot-array discipline the in-process campaign driver uses.
 //
 // Determinism contract: every worker regenerates the identical full
 // fault/mutant enumeration (same seed, same RNG walk) and executes only
@@ -46,8 +46,6 @@ struct FleetOptions {
 
   // Checkpoint journal path; empty disables checkpointing (and resume).
   std::string checkpoint_path;
-  // Stream results over loopback TCP instead of stdout pipes.
-  bool tcp_transport = false;
   // Live status endpoint: -1 = off, 0 = ephemeral port, else fixed port.
   // Each connection receives one JSON metrics line and is closed.
   int status_port = -1;

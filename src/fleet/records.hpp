@@ -6,7 +6,8 @@
 // in global index order, and one `done` line carrying the record count.
 // The orchestrator merges records into a slot array indexed by the global
 // mutant index — the same deterministic aggregation the in-process
-// executor uses — so the fleet report is byte-identical to a serial run.
+// campaign driver uses — so the fleet report is byte-identical to a
+// serial run.
 //
 // The format is deliberately flat (no nested objects), so both ends share
 // a line codec instead of a JSON library. Every line is self-describing;

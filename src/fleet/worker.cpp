@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/strings.hpp"
-#include "debug/tcp.hpp"
 
 namespace s4e::fleet {
 
@@ -18,59 +17,30 @@ namespace {
 // practice.
 constexpr auto kStallDuration = std::chrono::seconds(60);
 
-class StreamSink {
- public:
-  explicit StreamSink(int result_port) : port_(result_port) {}
-
-  Status open() {
-    if (port_ < 0) return Status();
-    std::string error;
-    channel_ = debug::TcpChannel::connect_loopback(static_cast<u16>(port_),
-                                                   error);
-    if (channel_ == nullptr) {
-      return Error(ErrorCode::kIoError, "fleet worker: " + error);
-    }
-    return Status();
+Status write_line(const std::string& line) {
+  if (std::fwrite(line.data(), 1, line.size(), stdout) != line.size() ||
+      std::fputc('\n', stdout) == EOF || std::fflush(stdout) != 0) {
+    return Error(ErrorCode::kIoError, "fleet worker: stdout write failed");
   }
-
-  Status write_line(const std::string& line) {
-    if (channel_ != nullptr) {
-      if (!channel_->write_all(line + "\n")) {
-        return Error(ErrorCode::kIoError,
-                     "fleet worker: result connection lost");
-      }
-      return Status();
-    }
-    if (std::fwrite(line.data(), 1, line.size(), stdout) != line.size() ||
-        std::fputc('\n', stdout) == EOF || std::fflush(stdout) != 0) {
-      return Error(ErrorCode::kIoError, "fleet worker: stdout write failed");
-    }
-    return Status();
-  }
-
- private:
-  int port_;
-  std::unique_ptr<debug::TcpChannel> channel_;
-};
+  return Status();
+}
 
 }  // namespace
 
 Status emit_stream(const MetaLine& meta,
                    const std::vector<std::string>& record_lines,
-                   const EmitOptions& options) {
-  StreamSink sink(options.result_port);
-  S4E_TRY_STATUS(sink.open());
-  S4E_TRY_STATUS(sink.write_line(encode(meta)));
+                   unsigned stall_after) {
+  S4E_TRY_STATUS(write_line(encode(meta)));
   for (std::size_t i = 0; i < record_lines.size(); ++i) {
-    if (options.stall_after != 0 && i == options.stall_after) {
+    if (stall_after != 0 && i == stall_after) {
       std::this_thread::sleep_for(kStallDuration);
     }
-    S4E_TRY_STATUS(sink.write_line(record_lines[i]));
+    S4E_TRY_STATUS(write_line(record_lines[i]));
   }
   DoneLine done;
   done.shard = meta.shard;
   done.count = record_lines.size();
-  return sink.write_line(encode(done));
+  return write_line(encode(done));
 }
 
 std::optional<std::pair<unsigned, unsigned>> parse_shard(

@@ -29,7 +29,4 @@ DefUse def_use(const Instr& instr) noexcept;
 // True if `instr` writes GPR `reg` (always false for reg == 0).
 bool writes_gpr(const Instr& instr, unsigned reg) noexcept;
 
-// True if `instr` reads GPR `reg`.
-bool reads_gpr(const Instr& instr, unsigned reg) noexcept;
-
 }  // namespace s4e::isa

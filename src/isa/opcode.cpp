@@ -107,24 +107,6 @@ const OpInfo& op_info(Op op) noexcept {
 
 std::string_view mnemonic(Op op) noexcept { return op_info(op).mnemonic; }
 
-std::string_view op_class_name(OpClass c) noexcept {
-  switch (c) {
-    case OpClass::kArith: return "arith";
-    case OpClass::kLoad: return "load";
-    case OpClass::kStore: return "store";
-    case OpClass::kBranch: return "branch";
-    case OpClass::kJump: return "jump";
-    case OpClass::kMul: return "mul";
-    case OpClass::kDiv: return "div";
-    case OpClass::kCsr: return "csr";
-    case OpClass::kSystem: return "system";
-    case OpClass::kFence: return "fence";
-    case OpClass::kAmo: return "amo";
-    case OpClass::kCount: break;
-  }
-  return "?";
-}
-
 std::string_view isa_module_name(IsaModule m) noexcept {
   switch (m) {
     case IsaModule::kI: return "RV32I";

@@ -6,9 +6,9 @@
 // allocates one flat slot array per worker lane. Each worker writes only
 // its own shard (plain u64 stores — lock-free by construction, no atomics,
 // no false sharing on the hot counters because every shard owns a separate
-// allocation). Aggregation happens after the executor barrier (which
-// establishes the happens-before edge) by folding the shards in index
-// order.
+// allocation). Aggregation happens after exec::parallel_for joins its
+// lanes (which establishes the happens-before edge) by folding the shards
+// in index order.
 //
 // Determinism: counters and histogram buckets aggregate by u64 addition
 // and gauges by max — both associative and commutative — and a campaign's

@@ -1,7 +1,7 @@
 #include "trace/replay.hpp"
 
 #include "common/strings.hpp"
-#include "exec/pool.hpp"
+#include "exec/parallel.hpp"
 #include "isa/opcode.hpp"
 
 namespace s4e::trace {
@@ -318,24 +318,16 @@ Result<std::vector<MatrixRow>> replay_matrix(
 
   std::vector<MatrixRow> rows(configs.size());
   std::vector<Status> failures(configs.size());
-  {
-    exec::ThreadPool::Options options;
-    options.threads = exec::ThreadPool::resolve_jobs(jobs);
-    exec::ThreadPool pool(options);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      pool.submit([&, i] {
-        rows[i].name = configs[i].name;
-        rows[i].params = configs[i].params;
-        auto result = replay(*decoded, configs[i].params);
-        if (result.ok()) {
-          rows[i].result = *result;
-        } else {
-          failures[i] = result.error();
-        }
-      });
+  exec::parallel_for(jobs, configs.size(), [&](unsigned, std::size_t i) {
+    rows[i].name = configs[i].name;
+    rows[i].params = configs[i].params;
+    auto result = replay(*decoded, configs[i].params);
+    if (result.ok()) {
+      rows[i].result = *result;
+    } else {
+      failures[i] = result.error();
     }
-    pool.wait_idle();
-  }
+  });
   for (std::size_t i = 0; i < configs.size(); ++i) {
     if (!failures[i].ok()) {
       return Error(failures[i].error().code(),

@@ -148,13 +148,6 @@ void Bus::tick(u64 now) {
   for (auto& mapping : devices_) mapping.device->tick(now);
 }
 
-Device* Bus::device_at(u32 base) noexcept {
-  for (auto& mapping : devices_) {
-    if (mapping.base == base) return mapping.device.get();
-  }
-  return nullptr;
-}
-
 void Bus::reset_devices() {
   for (auto& mapping : devices_) mapping.device->reset();
 }

@@ -165,11 +165,5 @@ TEST(Strings, Format) {
   EXPECT_EQ(format("0x%08x", 0xabcu), "0x00000abc");
 }
 
-TEST(Strings, Padding) {
-  EXPECT_EQ(pad_left("7", 3), "  7");
-  EXPECT_EQ(pad_right("7", 3), "7  ");
-  EXPECT_EQ(pad_left("long", 2), "long");
-}
-
 }  // namespace
 }  // namespace s4e

@@ -729,46 +729,6 @@ TEST(TcpTransport, AcceptDeadlinePassesWithoutClient) {
   EXPECT_TRUE(error.empty()) << error;
 }
 
-TEST(TcpTransport, ReadDeadlineDistinguishesIdleFromClosedPeer) {
-  std::string error;
-  auto listener = TcpListener::listen_loopback(0, error);
-  ASSERT_NE(listener, nullptr) << error;
-  auto client = TcpChannel::connect_loopback(listener->port(), error);
-  ASSERT_NE(client, nullptr) << error;
-  bool timed_out = false;
-  auto server = listener->accept_one_for(2000, error, timed_out);
-  ASSERT_NE(server, nullptr) << error;
-
-  // Idle peer: deadline passes, timed_out set — caller's loop stays live.
-  EXPECT_TRUE(server->read_for(50, timed_out).empty());
-  EXPECT_TRUE(timed_out);
-
-  // Data arrives within the deadline: returned without the flag.
-  ASSERT_TRUE(client->write_all("ping\n"));
-  EXPECT_EQ(server->read_for(2000, timed_out), "ping\n");
-  EXPECT_FALSE(timed_out);
-
-  // Peer vanishes: empty *without* timed_out means close, not idleness.
-  client.reset();
-  EXPECT_TRUE(server->read_for(2000, timed_out).empty());
-  EXPECT_FALSE(timed_out);
-}
-
-TEST(TcpTransport, ConnectLoopbackReportsRefusedPort) {
-  // Bind an ephemeral port, then release it: a connect to the now-dead
-  // port must fail with a message rather than hang.
-  std::string error;
-  u16 dead_port = 0;
-  {
-    auto listener = TcpListener::listen_loopback(0, error);
-    ASSERT_NE(listener, nullptr) << error;
-    dead_port = listener->port();
-  }
-  auto channel = TcpChannel::connect_loopback(dead_port, error);
-  EXPECT_EQ(channel, nullptr);
-  EXPECT_FALSE(error.empty());
-}
-
 #ifdef S4E_TOOL_DIR
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

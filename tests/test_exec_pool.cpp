@@ -1,19 +1,18 @@
-// Thread pool / campaign executor tests: lifecycle, bounded-queue
-// backpressure, exception propagation, and the determinism guarantee the
-// campaign engines rely on (jobs=1 output == jobs=8 output, bit for bit).
+// Fan-out tests: exec::parallel_for's index and lane contract (the
+// CampaignExecutor suites: every slot once, inline lane 0 at one job, lane
+// affinity, exception propagation), the campaign progress counters, and the
+// determinism guarantee the campaign engines rely on (jobs=1 output ==
+// jobs=8 output, bit for bit).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "asm/assembler.hpp"
-#include "exec/campaign_executor.hpp"
-#include "exec/pool.hpp"
+#include "exec/campaign_driver.hpp"
+#include "exec/parallel.hpp"
 #include "fault/fault.hpp"
 #include "mutation/mutation.hpp"
 #include "obs/metrics.hpp"
@@ -21,133 +20,45 @@
 namespace s4e::exec {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasksAndStops) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool::Options options;
-    options.threads = 4;
-    ThreadPool pool(options);
-    EXPECT_EQ(pool.thread_count(), 4u);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_TRUE(pool.submit([&counter] { ++counter; }));
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-    pool.shutdown();
-    // After shutdown the pool drops new work.
-    EXPECT_FALSE(pool.submit([&counter] { ++counter; }));
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool::Options options;
-    options.threads = 2;
-    ThreadPool pool(options);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-  }  // ~ThreadPool: queued tasks still run before the join
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ResolveJobs) {
-  EXPECT_EQ(ThreadPool::resolve_jobs(3), 3u);
-  EXPECT_GE(ThreadPool::resolve_jobs(0), 1u);
+// The CampaignExecutor cases pin the index contract independent of lanes,
+// the CampaignExecutorAffine cases below pin the lane contract.
+TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
+  EXPECT_EQ(resolve_jobs(8), 8u);
+  EXPECT_GE(resolve_jobs(0), 1u);  // 0 = hardware concurrency
   // Absurd requests (e.g. a negative count cast to unsigned) are clamped
   // instead of aborting in std::thread.
-  EXPECT_EQ(ThreadPool::resolve_jobs(0xfffffffdu), 4096u);
-}
+  EXPECT_EQ(resolve_jobs(0xfffffffdu), 4096u);
 
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  ThreadPool::Options options;
-  options.threads = 1;
-  options.queue_capacity = 2;
-  ThreadPool pool(options);
-
-  // Park the single worker on a gate so the queue can fill up.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool gate_open = false;
-  pool.submit([&] {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return gate_open; });
-  });
-
-  // Fill the queue (capacity 2), then submit one more from a producer
-  // thread: that call must block until the worker drains an entry.
-  pool.submit([] {});
-  pool.submit([] {});
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    pool.submit([] {});
-    producer_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(producer_done.load()) << "submit did not block on a full queue";
-
-  {
-    std::lock_guard lock(mutex);
-    gate_open = true;
-  }
-  cv.notify_all();
-  producer.join();
-  EXPECT_TRUE(producer_done.load());
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool::Options options;
-  options.threads = 2;
-  ThreadPool pool(options);
-  std::atomic<int> completed{0};
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&completed] { ++completed; });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The failure does not poison the pool: later work still runs.
-  EXPECT_EQ(completed.load(), 10);
-  pool.submit([&completed] { ++completed; });
-  pool.wait_idle();  // no stale exception left behind
-  EXPECT_EQ(completed.load(), 11);
-}
-
-// run_affine is the executor's one entry point; the CampaignExecutor cases
-// pin its index contract independent of lanes, the CampaignExecutorAffine
-// cases below pin the lane contract.
-TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
-  CampaignExecutor executor(8);
-  EXPECT_EQ(executor.jobs(), 8u);
   std::vector<std::atomic<int>> slots(500);
-  executor.run_affine(slots.size(),
-                      [&](unsigned, std::size_t i) { ++slots[i]; });
+  parallel_for(8, slots.size(), [&](unsigned, std::size_t i) { ++slots[i]; });
   for (const auto& slot : slots) {
     EXPECT_EQ(slot.load(), 1);
   }
   // Fewer jobs than lanes: only min(jobs, count) lanes start, and each
   // index still runs exactly once.
   std::vector<std::atomic<int>> few(3);
-  executor.run_affine(few.size(), [&](unsigned, std::size_t i) { ++few[i]; });
+  std::atomic<bool> lane_in_range{true};
+  parallel_for(8, few.size(), [&](unsigned lane, std::size_t i) {
+    if (lane >= few.size()) lane_in_range.store(false);
+    ++few[i];
+  });
+  EXPECT_TRUE(lane_in_range.load());
   for (const auto& slot : few) {
     EXPECT_EQ(slot.load(), 1);
   }
   // An empty campaign runs nothing.
   bool ran = false;
-  executor.run_affine(0, [&](unsigned, std::size_t) { ran = true; });
+  parallel_for(8, 0, [&](unsigned, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(CampaignExecutor, SingleJobRunsInlineInSubmissionOrder) {
-  // The executor is reusable: a second run at jobs=1 is again inline and in
-  // submission order, continuing where the caller's state left off.
-  CampaignExecutor executor(1);
+  // Repeated runs at jobs=1 are each inline and in submission order,
+  // continuing where the caller's state left off.
   const auto caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
   for (int round = 0; round < 2; ++round) {
-    executor.run_affine(10, [&](unsigned, std::size_t i) {
+    parallel_for(1, 10, [&](unsigned, std::size_t i) {
       EXPECT_EQ(std::this_thread::get_id(), caller);
       order.push_back(i);
     });
@@ -161,26 +72,22 @@ TEST(CampaignExecutor, SingleJobRunsInlineInSubmissionOrder) {
 TEST(CampaignExecutor, PropagatesJobException) {
   // Inline at jobs=1 the exception leaves like a serial loop's: at the
   // throwing index, with the later indices never run.
-  CampaignExecutor executor(1);
   std::vector<std::size_t> ran;
-  EXPECT_THROW(executor.run_affine(20,
-                                   [&](unsigned, std::size_t i) {
-                                     ran.push_back(i);
-                                     if (i == 7) {
-                                       throw std::runtime_error("job 7");
-                                     }
-                                   }),
+  EXPECT_THROW(parallel_for(1, 20,
+                            [&](unsigned, std::size_t i) {
+                              ran.push_back(i);
+                              if (i == 7) throw std::runtime_error("job 7");
+                            }),
                std::runtime_error);
   ASSERT_EQ(ran.size(), 8u);
   EXPECT_EQ(ran.back(), 7u);
 }
 
 TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {
-  CampaignExecutor executor(4);
   std::vector<std::atomic<int>> slots(300);
   std::atomic<bool> lane_in_range{true};
-  executor.run_affine(slots.size(), [&](unsigned worker, std::size_t i) {
-    if (worker >= executor.jobs()) lane_in_range.store(false);
+  parallel_for(4, slots.size(), [&](unsigned lane, std::size_t i) {
+    if (lane >= 4) lane_in_range.store(false);
     ++slots[i];
   });
   EXPECT_TRUE(lane_in_range.load());
@@ -190,22 +97,21 @@ TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {
 }
 
 TEST(CampaignExecutorAffine, MetricShardsAggregateDeterministically) {
-  // The obs::MetricsRegistry concurrency model under the real pool: every
-  // lane writes only its own shard (plain stores, no atomics), the
-  // executor barrier orders the writes before aggregation, and the fold is
-  // partition-invariant — so a 4-lane run must aggregate to exactly the
-  // serial answer. Run under -DS4E_SANITIZE=thread this is the race check
-  // for the lock-free-by-partitioning claim.
+  // The obs::MetricsRegistry concurrency model under real threads: every
+  // lane writes only its own shard (plain stores, no atomics), the join
+  // at the end of parallel_for orders the writes before aggregation, and
+  // the fold is partition-invariant — so a 4-lane run must aggregate to
+  // exactly the serial answer. Run under -DS4E_SANITIZE=thread this is the
+  // race check for the lock-free-by-partitioning claim.
   auto aggregate_with = [](unsigned jobs) {
     obs::MetricsRegistry registry;
     const auto runs = registry.add_counter("runs");
     const auto sum = registry.add_counter("sum");
     const auto peak = registry.add_gauge("peak");
     const auto hist = registry.add_histogram("value", {100, 1000});
-    CampaignExecutor executor(jobs);
-    registry.open_shards(executor.jobs());
-    executor.run_affine(500, [&](unsigned worker, std::size_t i) {
-      auto& shard = registry.shard(worker);
+    registry.open_shards(resolve_jobs(jobs));
+    parallel_for(jobs, 500, [&](unsigned lane, std::size_t i) {
+      auto& shard = registry.shard(lane);
       const u64 value = static_cast<u64>(i) * 7 % 1500;
       shard.add(runs, 1);
       shard.add(sum, value);
@@ -220,11 +126,10 @@ TEST(CampaignExecutorAffine, MetricShardsAggregateDeterministically) {
 }
 
 TEST(CampaignExecutorAffine, SingleJobRunsInlineOnLaneZero) {
-  CampaignExecutor executor(1);
   const auto caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  executor.run_affine(10, [&](unsigned worker, std::size_t i) {
-    EXPECT_EQ(worker, 0u);
+  parallel_for(1, 10, [&](unsigned lane, std::size_t i) {
+    EXPECT_EQ(lane, 0u);
     EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(i);
   });
@@ -235,17 +140,16 @@ TEST(CampaignExecutorAffine, SingleJobRunsInlineOnLaneZero) {
 }
 
 TEST(CampaignExecutorAffine, EachLaneKeepsItsOwnThread) {
-  // The point of worker affinity: lane k's jobs all run on one thread, so a
+  // The point of lane affinity: lane k's jobs all run on one thread, so a
   // per-lane vp::Machine is never touched concurrently.
-  CampaignExecutor executor(3);
   std::vector<std::thread::id> lane_thread(3);
   std::vector<std::atomic<int>> lane_switches(3);
-  executor.run_affine(200, [&](unsigned worker, std::size_t) {
+  parallel_for(3, 200, [&](unsigned lane, std::size_t) {
     const auto self = std::this_thread::get_id();
-    if (lane_thread[worker] == std::thread::id{}) {
-      lane_thread[worker] = self;
-    } else if (lane_thread[worker] != self) {
-      ++lane_switches[worker];
+    if (lane_thread[lane] == std::thread::id{}) {
+      lane_thread[lane] = self;
+    } else if (lane_thread[lane] != self) {
+      ++lane_switches[lane];
     }
   });
   for (const auto& switches : lane_switches) {
@@ -258,15 +162,12 @@ TEST(CampaignExecutorAffine, PropagatesJobException) {
   // that threw stops claiming, and the remaining lanes finish every other
   // index exactly once (campaign slots are filled or failed, never
   // silently skipped).
-  CampaignExecutor executor(4);
   std::vector<std::atomic<int>> slots(20);
-  EXPECT_THROW(executor.run_affine(slots.size(),
-                                   [&](unsigned, std::size_t i) {
-                                     ++slots[i];
-                                     if (i == 7) {
-                                       throw std::runtime_error("job 7");
-                                     }
-                                   }),
+  EXPECT_THROW(parallel_for(4, slots.size(),
+                            [&](unsigned, std::size_t i) {
+                              ++slots[i];
+                              if (i == 7) throw std::runtime_error("job 7");
+                            }),
                std::runtime_error);
   for (const auto& slot : slots) {
     EXPECT_EQ(slot.load(), 1);

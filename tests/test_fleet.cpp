@@ -1,20 +1,27 @@
 // Campaign fleet service tests: wire codec round trips, checkpoint journal
 // recovery, and the orchestrator's headline contract — the multi-process
 // fleet report is byte-identical to the serial engine's, including across
-// worker SIGKILLs, daemon crash/resume cycles, and both transports.
+// worker SIGKILLs and daemon crash/resume cycles.
 //
 // Orchestrator tests fork real worker binaries (s4e-faultsim / s4e-mutate
 // from S4E_TOOL_DIR), so this suite exercises the full process-supervision
 // path, not a mock.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -354,19 +361,6 @@ TEST_F(Fleet, MutationReportMatchesSerialEngine) {
   EXPECT_EQ(fleet->report, serial);
 }
 
-TEST_F(Fleet, TcpTransportMatchesPipeTransport) {
-  FleetOptions options = fault_options(30, 7);
-  options.workers = 2;
-  options.shards = 3;
-  auto piped = run_fleet(options);
-  ASSERT_TRUE(piped.ok()) << piped.error().to_string();
-  options.tcp_transport = true;
-  auto tcp = run_fleet(options);
-  ASSERT_TRUE(tcp.ok()) << tcp.error().to_string();
-  EXPECT_EQ(tcp->report, piped->report);
-  EXPECT_EQ(tcp->report, serial_fault_report(30, 7));
-}
-
 // --- orchestrator: fault tolerance -----------------------------------------
 
 TEST_F(Fleet, SigkilledWorkerIsRestartedAndReportUnchanged) {
@@ -441,6 +435,49 @@ TEST_F(Fleet, BrokenWorkerBinaryExhaustsRetries) {
 
 // --- orchestrator: status endpoint -----------------------------------------
 
+// Status endpoint client: connect to 127.0.0.1:port. Null with a message in
+// `error` when nothing accepts there.
+std::unique_ptr<debug::TcpChannel> connect_loopback(u16 port,
+                                                    std::string& error) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    error = std::string("socket: ") + std::strerror(errno);
+    return nullptr;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) {
+    error = std::string("connect: ") + std::strerror(errno);
+    ::close(fd);
+    return nullptr;
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return std::make_unique<debug::TcpChannel>(fd);
+}
+
+// Deadline read: block up to `timeout_ms` for data. Empty with `timed_out`
+// set means the deadline passed with the peer still connected; empty
+// without it means the peer closed, so the client loop never hangs.
+std::string read_for(debug::TcpChannel& channel, int timeout_ms,
+                     bool& timed_out) {
+  timed_out = false;
+  pollfd pfd{channel.fd(), POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, timeout_ms);
+  if (ready == 0) {
+    timed_out = true;
+    return {};
+  }
+  if (ready < 0) return {};  // poll error: treat as closed
+  return channel.read_blocking();  // data or EOF is pending
+}
+
 TEST_F(Fleet, StatusEndpointServesLiveMetrics) {
   FleetOptions options = fault_options(60, 1);
   options.workers = 1;  // serialize shards: a wide time window to query
@@ -456,11 +493,10 @@ TEST_F(Fleet, StatusEndpointServesLiveMetrics) {
       const int p = port.load();
       if (p < 0) continue;
       std::string error;
-      auto channel =
-          debug::TcpChannel::connect_loopback(static_cast<u16>(p), error);
+      auto channel = connect_loopback(static_cast<u16>(p), error);
       if (channel == nullptr) continue;
       bool timed_out = false;
-      const std::string line = channel->read_for(2000, timed_out);
+      const std::string line = read_for(*channel, 2000, timed_out);
       if (!line.empty()) {
         response = line;
         return;

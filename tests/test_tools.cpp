@@ -560,6 +560,72 @@ TEST(ToolCampaignd, RejectsMalformedCounts) {
        {"--status-port 8o", "--status-port expects 0..65535 (got 8o)"}});
 }
 
+TEST(ToolQta, RejectsMalformedCounts) {
+  expect_rejected(
+      "s4e-qta",
+      {{"--replay t.bin --jobs many", "--jobs expects 0..4096 (got many)"},
+       {"--replay t.bin --jobs 3x", "--jobs expects 0..4096 (got 3x)"},
+       {"--replay t.bin --jobs -1", "--jobs expects 0..4096 (got -1)"},
+       {"--replay t.bin --jobs 4097", "--jobs expects 0..4096 (got 4097)"}});
+}
+
+// Each tool declares how many positional arguments it takes; one more exits
+// 2 before any input is read, so the paths need not exist.
+void expect_extra_argument_rejected(const std::string& name,
+                                    const std::string& args,
+                                    const std::string& extra) {
+  auto result = run_command(tool(name) + " " + args + " " + extra);
+  EXPECT_EQ(result.exit_code, 2) << name << ": " << result.output;
+  EXPECT_NE(result.output.find(name + ": unexpected argument '" + extra + "'"),
+            std::string::npos)
+      << name << ": " << result.output;
+}
+
+TEST(ToolAs, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-as", "in.s -o out.elf", "more.s");
+}
+
+TEST(ToolObjdump, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-objdump", "-t a.elf", "b.elf");
+}
+
+TEST(ToolRun, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-run", "a.elf --stats", "b.elf");
+}
+
+TEST(ToolWcet, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-wcet", "a.elf", "a.qtacfg");
+}
+
+TEST(ToolQta, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-qta", "a.elf a.qtacfg", "b.qtacfg");
+  // Replay mode takes the ELF only.
+  expect_extra_argument_rejected("s4e-qta", "a.elf --replay t.bin",
+                                 "a.qtacfg");
+}
+
+TEST(ToolFaultsim, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-faultsim", "crc.elf", "crc.qtacfg");
+}
+
+TEST(ToolMutate, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-mutate", "a.elf --max 5", "b.elf");
+}
+
+TEST(ToolLint, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-lint", "a.s", "b.s");
+}
+
+TEST(ToolTestgen, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-testgen", "outdir --suite unit",
+                                 "other");
+}
+
+TEST(ToolCampaignd, RejectsExtraArgument) {
+  expect_extra_argument_rejected("s4e-campaignd", "a.elf --workers 2",
+                                 "b.elf");
+}
+
 // ---------------------------------------------------------------------------
 // Capture once, replay many: s4e-qta --record / s4e-run --trace-bin write the
 // binary trace, s4e-qta --replay evaluates it under the timing matrix.

@@ -37,10 +37,10 @@ class CampaignCli {
       : name_(name),
         tag_(tag),
         usage_(usage),
-        args_(argc, argv,
+        args_(argc, argv, 1,
               with(std::move(value_keys),
                    {"--jobs", "--metrics-out", "--post-mortem-dir", "--shard",
-                    "--result-port", "--test-stall-after"}),
+                    "--test-stall-after"}),
               with(std::move(flag_keys),
                    {"--progress", "--reuse-machine", "--triage",
                     "--snapshot-stats", "--post-mortem", "--emit-jsonl"})) {}
@@ -145,9 +145,9 @@ class CampaignCli {
   }
 
   // Fleet worker mode: --emit-jsonl replaces the human report with the
-  // fleet wire stream (stdout, or dialed back to --result-port P over
-  // loopback TCP). `meta` carries the mode, range start, total and golden
-  // fields; the shard, range end and campaign fingerprint are filled here.
+  // fleet wire stream on stdout. `meta` carries the mode, range start,
+  // total and golden fields; the shard, range end and campaign fingerprint
+  // are filled here.
   bool emit_jsonl() const { return args_.has("--emit-jsonl"); }
   template <class Item>
   int emit(fleet::MetaLine meta, u64 seed, u64 mutants, u64 max_mutants,
@@ -164,12 +164,10 @@ class CampaignCli {
     for (std::size_t i = 0; i < items.size(); ++i) {
       lines.push_back(fleet::encode_record(items[i], meta.begin + i));
     }
-    fleet::EmitOptions emit;
-    emit.result_port = static_cast<int>(
-        parse_integer(args_.value("--result-port", "-1")).value_or(-1));
-    emit.stall_after = static_cast<unsigned>(
+    const auto stall_after = static_cast<unsigned>(
         parse_integer(args_.value("--test-stall-after", "0")).value_or(0));
-    if (auto status = fleet::emit_stream(meta, lines, emit); !status.ok()) {
+    if (auto status = fleet::emit_stream(meta, lines, stall_after);
+        !status.ok()) {
       return fail(status.error());
     }
     return finish_stdout(name_);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
       "[--text-base ADDR] [--data-base ADDR]\n"
       "       s4e-as --workload <name> -o <out.elf>\n"
       "       s4e-as --list-workloads\n";
-  tools::Args args(argc, argv,
+  tools::Args args(argc, argv, 1,
                    {"-o", "--workload", "--text-base", "--data-base"},
                    {"--compress", "--list-workloads"});
   if (const int code = tools::standard_flags(args, "s4e-as", kUsage);

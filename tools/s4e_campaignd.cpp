@@ -3,7 +3,7 @@
 //
 //   s4e-campaignd file.elf [--mode fault|mutation] [--workers N]
 //                 [--shards N] [--worker-jobs N] [--seed S] [--mutants N]
-//                 [--max N] [--worker PATH] [--checkpoint FILE] [--tcp]
+//                 [--max N] [--worker PATH] [--checkpoint FILE]
 //                 [--status-port P] [--max-retries N] [--stats]
 //
 // The merged report on stdout is byte-identical to the serial tool's
@@ -16,8 +16,8 @@
 // mid-shard are respawned automatically.
 //
 // --status-port P serves one line of live JSON metrics per connection
-// (P=0 binds an ephemeral port, printed to stderr). --tcp streams results
-// over loopback TCP instead of stdout pipes (same wire format).
+// (P=0 binds an ephemeral port, printed to stderr). Workers stream their
+// results back over stdout pipes.
 #include <unistd.h>
 
 #include <cstdio>
@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
       "usage: s4e-campaignd <file.elf> [--mode fault|mutation] "
       "[--workers N] [--shards N] [--worker-jobs N] [--seed S] "
       "[--mutants N] [--max N] [--worker PATH] [--checkpoint FILE] "
-      "[--tcp] [--status-port P] [--max-retries N] [--stats] "
+      "[--status-port P] [--max-retries N] [--stats] "
       "[--test-kill-after N] [--test-fail-after-commits N]\n";
-  tools::Args args(argc, argv,
+  tools::Args args(argc, argv, 1,
                    {"--mode", "--workers", "--shards", "--worker-jobs",
                     "--seed", "--mutants", "--max", "--worker",
                     "--checkpoint", "--status-port", "--max-retries",
                     "--test-kill-after", "--test-fail-after-commits"},
-                   {"--tcp", "--stats"});
+                   {"--stats"});
   if (const int code = tools::standard_flags(args, "s4e-campaignd", kUsage);
       code >= 0) {
     return code;
@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
                                    ? "s4e-faultsim"
                                    : "s4e-mutate"));
   options.checkpoint_path = args.value("--checkpoint");
-  options.tcp_transport = args.has("--tcp");
   if (args.has("--status-port")) {
     options.status_port = static_cast<int>(*status_port);
     options.on_status_port = [](int port) {

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace s4e;
   static constexpr char kUsage[] =
       "usage: s4e-cov <a.elf> [b.elf ...] [--per-binary] [--no-static]\n";
-  tools::Args args(argc, argv, {}, {"--per-binary", "--no-static"});
+  tools::Args args(argc, argv, tools::Args::kVariadic, {},
+                   {"--per-binary", "--no-static"});
   if (const int code = tools::standard_flags(args, "s4e-cov", kUsage);
       code >= 0) {
     return code;

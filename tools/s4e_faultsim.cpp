@@ -5,7 +5,6 @@
 //                [--progress] [--reuse-machine[=off]] [--triage[=off|verify]]
 //                [--snapshot-stats] [--metrics-out FILE] [--post-mortem]
 //                [--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl]
-//                [--result-port P]
 //
 // --harts N runs every mutant (and the golden reference) on an N-hart SMP
 // machine; GPR faults then target an RNG-chosen hart. Static triage is
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
       "[--triage[=off|verify]] "
       "[--snapshot-stats] [--metrics-out FILE] [--post-mortem] "
       "[--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl] "
-      "[--result-port P] [--test-stall-after N]\n";
+      "[--test-stall-after N]\n";
   tools::CampaignCli cli(argc, argv, "s4e-faultsim", "faultsim", kUsage,
                          {"--harts", "--mutants", "--seed"},
                          {"--blind", "--no-gpr", "--no-mem", "--no-code",

@@ -31,13 +31,13 @@ int main(int argc, char** argv) {
   static constexpr char kUsage[] =
       "usage: s4e-lint <prog.elf|prog.s> [--policy file.policy] "
       "[--stack-limit BYTES] [--json] [--quiet]\n";
-  tools::Args args(argc, argv, {"--policy", "--stack-limit"},
+  tools::Args args(argc, argv, 1, {"--policy", "--stack-limit"},
                    {"--json", "--quiet"});
   if (const int code = tools::standard_flags(args, "s4e-lint", kUsage);
       code >= 0) {
     return code;
   }
-  if (args.positional().size() != 1) {
+  if (args.positional().empty()) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }

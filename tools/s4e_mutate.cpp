@@ -4,7 +4,6 @@
 //              [--progress] [--reuse-machine[=off]] [--triage[=off|verify]]
 //              [--snapshot-stats] [--metrics-out FILE] [--post-mortem]
 //              [--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl]
-//              [--result-port P]
 //
 // The flags shared with s4e-faultsim (jobs, reuse, triage, observability,
 // fleet worker mode) are documented in tools/campaign_cli.hpp.
@@ -22,7 +21,7 @@ int main(int argc, char** argv) {
       "[--reuse-machine[=off]] [--triage[=off|verify]] [--snapshot-stats] "
       "[--metrics-out FILE] [--post-mortem] "
       "[--post-mortem-dir DIR] [--shard I/N] [--emit-jsonl] "
-      "[--result-port P] [--test-stall-after N]\n";
+      "[--test-stall-after N]\n";
   tools::CampaignCli cli(argc, argv, "s4e-mutate", "mutate", kUsage, {"--max"},
                          {"--all-sites", "--survivors"});
   const tools::Args& args = cli.args();

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace s4e;
   static constexpr char kUsage[] =
       "usage: s4e-objdump [-t|--cfg|--annot] <file.elf>\n";
-  tools::Args args(argc, argv, {}, {"-t", "--cfg", "--annot"});
+  tools::Args args(argc, argv, 1, {}, {"-t", "--cfg", "--annot"});
   if (const int code = tools::standard_flags(args, "s4e-objdump", kUsage);
       code >= 0) {
     return code;

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "elf/elf32.hpp"
-#include "exec/pool.hpp"
+#include "exec/parallel.hpp"
 #include "qta/qta.hpp"
 #include "tools/tool_util.hpp"
 #include "trace/recorder.hpp"
@@ -42,7 +42,7 @@ struct ReplayRow {
 };
 
 int replay_main(const s4e::assembler::Program& program,
-                const s4e::tools::Args& args) {
+                const s4e::tools::Args& args, unsigned jobs) {
   using namespace s4e;
   auto loaded = trace::Trace::load(args.value("--replay"));
   if (!loaded.ok()) {
@@ -71,15 +71,6 @@ int replay_main(const s4e::assembler::Program& program,
     std::fprintf(stderr, "s4e-qta: --models expects 'all' or 'baseline'\n");
     return 2;
   }
-  unsigned jobs = 0;
-  if (args.has("--jobs")) {
-    auto parsed = parse_integer(args.value("--jobs"));
-    if (!parsed.ok() || *parsed < 0) {
-      std::fprintf(stderr, "s4e-qta: bad --jobs\n");
-      return 2;
-    }
-    jobs = static_cast<unsigned>(*parsed);
-  }
 
   std::printf("replay: %llu instructions, %llu blocks, recorded %llu cycles "
               "(fingerprint %016llx)\n",
@@ -99,36 +90,28 @@ int replay_main(const s4e::assembler::Program& program,
   // Fan the configurations out: each worker runs the per-config static
   // analysis, then replays the shared read-only trace through it.
   std::vector<ReplayRow> rows(configs.size());
-  {
-    exec::ThreadPool::Options options;
-    options.threads = exec::ThreadPool::resolve_jobs(jobs);
-    exec::ThreadPool pool(options);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      pool.submit([&, i] {
-        ReplayRow& row = rows[i];
-        row.name = configs[i].name;
-        wcet::AnalyzerOptions options_w;
-        options_w.timing = configs[i].params;
-        options_w.program_name = row.name;
-        auto analysis = wcet::Analyzer(options_w).analyze(program);
-        if (!analysis.ok()) {
-          row.error = analysis.error().to_string();
-          return;
-        }
-        analysis->annotated.reindex();
-        qta::PathAccumulator path(analysis->annotated);
-        auto replayed = trace::replay(*decoded, configs[i].params,
-                                      [&path](u32 pc) { path.step(pc); });
-        if (!replayed.ok()) {
-          row.error = replayed.error().to_string();
-          return;
-        }
-        row.replay = *replayed;
-        row.report = path.report(replayed->cycles);
-      });
+  exec::parallel_for(jobs, configs.size(), [&](unsigned, std::size_t i) {
+    ReplayRow& row = rows[i];
+    row.name = configs[i].name;
+    wcet::AnalyzerOptions options;
+    options.timing = configs[i].params;
+    options.program_name = row.name;
+    auto analysis = wcet::Analyzer(options).analyze(program);
+    if (!analysis.ok()) {
+      row.error = analysis.error().to_string();
+      return;
     }
-    pool.wait_idle();
-  }
+    analysis->annotated.reindex();
+    qta::PathAccumulator path(analysis->annotated);
+    auto replayed = trace::replay(*decoded, configs[i].params,
+                                  [&path](u32 pc) { path.step(pc); });
+    if (!replayed.ok()) {
+      row.error = replayed.error().to_string();
+      return;
+    }
+    row.replay = *replayed;
+    row.report = path.report(replayed->cycles);
+  });
 
   std::printf("%-40s %12s %12s %12s %7s %7s %6s\n", "config", "observed",
               "wc-path", "bound", "icmiss", "mispred", "chain");
@@ -163,7 +146,7 @@ int replay_main(const s4e::assembler::Program& program,
 
 int main(int argc, char** argv) {
   using namespace s4e;
-  tools::Args args(argc, argv,
+  tools::Args args(argc, argv, 2,
                    {"--uart-input", "--record", "--replay", "--models",
                     "--jobs"});
   if (const int code = tools::standard_flags(args, "s4e-qta", kUsage);
@@ -174,6 +157,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
+  // Replay mode reads no annotated CFG.
+  if (args.has("--replay") && args.positional().size() > 1) {
+    std::fprintf(stderr, "s4e-qta: unexpected argument '%s'\n",
+                 args.positional()[1].c_str());
+    return 2;
+  }
+  // 0 = all hardware threads; --jobs 1 replays inline.
+  const auto jobs = tools::count_option(args, "s4e-qta", "--jobs", 0, 4096);
+  if (!jobs) return 2;
   auto program = elf::read_elf_file(args.positional()[0]);
   if (!program.ok()) {
     std::fprintf(stderr, "s4e-qta: %s\n", program.error().to_string().c_str());
@@ -181,7 +173,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("--replay")) {
-    return replay_main(*program, args);
+    return replay_main(*program, args, static_cast<unsigned>(*jobs));
   }
 
   if (args.positional().size() < 2) {

@@ -83,7 +83,7 @@ bool serve_gdb(s4e::vp::Machine& machine, const std::string& port_text,
 
 int main(int argc, char** argv) {
   using namespace s4e;
-  tools::Args args(argc, argv,
+  tools::Args args(argc, argv, 1,
                    {"--harts", "--slice", "--max-insns", "--uart-input",
                     "--trace-limit", "--trace-bin"},
                    {"--coverage", "--profile", "--stats", "--trace", "--gdb"});

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   static constexpr char kUsage[] =
       "usage: s4e-testgen <outdir> [--suite arch|unit|torture|all] "
       "[--seed S] [--count N] [--abi-style] [--elf]\n";
-  tools::Args args(argc, argv, {"--suite", "--seed", "--count"},
+  tools::Args args(argc, argv, 1, {"--suite", "--seed", "--count"},
                    {"--abi-style", "--elf"});
   if (const int code = tools::standard_flags(args, "s4e-testgen", kUsage);
       code >= 0) {

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace s4e;
   static constexpr char kUsage[] =
       "usage: s4e-wcet <file.elf> [--emit-cfg out.qtacfg] [--dot]\n";
-  tools::Args args(argc, argv, {"--emit-cfg"}, {"--dot"});
+  tools::Args args(argc, argv, 1, {"--emit-cfg"}, {"--dot"});
   if (const int code = tools::standard_flags(args, "s4e-wcet", kUsage);
       code >= 0) {
     return code;

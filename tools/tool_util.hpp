@@ -40,15 +40,21 @@ inline int finish_stdout(const char* tool, int code = 0) {
 
 // "--flag", "--key value", "--key=value" and positional arguments.
 //
-// Every option a tool parses must be declared up front — `value_keys` for
+// Every argument a tool parses must be declared up front — `max_positional`
+// positional arguments at most (kVariadic for any number), `value_keys` for
 // options that consume a value, `flag_keys` for booleans (a flag may still
 // carry an inline "=value", e.g. --trace=FILE or --gdb=PORT). Anything else
 // that looks like an option is rejected with a "did you mean --X?" hint, so
 // a typo like --max-isns fails loudly instead of silently running without a
-// budget. "--help" and "--list-flags" are always known.
+// budget; a positional argument past the declared count is rejected as
+// unexpected rather than ignored. "--help" and "--list-flags" are always
+// known.
 class Args {
  public:
-  Args(int argc, char** argv, std::vector<std::string> value_keys,
+  static constexpr std::size_t kVariadic = static_cast<std::size_t>(-1);
+
+  Args(int argc, char** argv, std::size_t max_positional,
+       std::vector<std::string> value_keys,
        std::vector<std::string> flag_keys = {})
       : value_keys_(std::move(value_keys)), flag_keys_(std::move(flag_keys)) {
     for (int i = 1; i < argc; ++i) {
@@ -73,14 +79,17 @@ class Args {
         } else {
           options_[key] = "";
         }
-      } else {
+      } else if (positional_.size() < max_positional) {
         positional_.push_back(arg);
+      } else if (error_.empty()) {
+        error_ = "unexpected argument '" + arg + "'";
       }
     }
   }
 
-  // False when an undeclared option was seen; `error()` carries the
-  // message (with a nearest-known-option suggestion when one is close).
+  // False when an undeclared option or an excess positional argument was
+  // seen; `error()` carries the message for the first one (with a
+  // nearest-known-option suggestion when one is close).
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
@@ -113,7 +122,7 @@ class Args {
   }
 
   void reject(const std::string& key) {
-    if (!error_.empty()) return;  // report the first unknown option only
+    if (!error_.empty()) return;  // report the first bad argument only
     error_ = "unknown option '" + key + "'";
     std::string best;
     std::size_t best_distance = 3;  // suggest only within edit distance 2
@@ -135,7 +144,7 @@ class Args {
 };
 
 // Shared front matter for every tool's main():
-//   - bad option      -> message on stderr, exit 2
+//   - bad argument    -> message on stderr, exit 2
 //   - --list-flags    -> declared options one per line on stdout, exit 0
 //   - --help          -> `usage` on stdout, exit 0
 // Returns the exit code to use, or -1 to continue running.
