@@ -1,8 +1,8 @@
-// Fan-out tests: exec::parallel_for's index and lane contract (the
-// CampaignExecutor suites: every slot once, inline lane 0 at one job, lane
-// affinity, exception propagation), the campaign progress counters, and the
-// determinism guarantee the campaign engines rely on (jobs=1 output ==
-// jobs=8 output, bit for bit).
+// Fan-out tests: exec::resolve_jobs' clamping, exec::parallel_for's index
+// and lane contract (the CampaignExecutor suites: every slot once, inline
+// lane 0 at one job, lane affinity, exception propagation), the campaign
+// progress counters, and the determinism guarantee the campaign engines
+// rely on (jobs=1 output == jobs=8 output, bit for bit).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,14 +20,18 @@
 namespace s4e::exec {
 namespace {
 
-// The CampaignExecutor cases pin the index contract independent of lanes,
-// the CampaignExecutorAffine cases below pin the lane contract.
-TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
-  EXPECT_EQ(resolve_jobs(8), 8u);
+TEST(ThreadPool, ResolveJobs) {
+  EXPECT_EQ(resolve_jobs(3), 3u);
   EXPECT_GE(resolve_jobs(0), 1u);  // 0 = hardware concurrency
   // Absurd requests (e.g. a negative count cast to unsigned) are clamped
   // instead of aborting in std::thread.
   EXPECT_EQ(resolve_jobs(0xfffffffdu), 4096u);
+}
+
+// The CampaignExecutor cases pin the index contract independent of lanes,
+// the CampaignExecutorAffine cases below pin the lane contract.
+TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
+  EXPECT_EQ(resolve_jobs(8), 8u);
 
   std::vector<std::atomic<int>> slots(500);
   parallel_for(8, slots.size(), [&](unsigned, std::size_t i) { ++slots[i]; });
